@@ -1,10 +1,8 @@
-"""Pure-NumPy fallback for the principal-value quadrature inner loop.
+"""The principal-value quadrature inner loop in NumPy.
 
-Same arithmetic as the compiled kernel: S_i = sum_{j>=1} (f[i-j] - f[i+j])/j
-with out-of-range samples treated as zero, realized as one direct (not FFT)
-convolution of the nonzero slice of f against the odd harmonic kernel.
-Summation order differs from the compiled kernel, so the two backends agree
-to rounding, not bit-for-bit.
+S_i = sum_{j>=1} (f[i-j] - f[i+j])/j with out-of-range samples treated as
+zero, realized as one direct (not FFT) convolution of the nonzero slice of f
+against the odd harmonic kernel.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def pv_sum(f: np.ndarray, n_threads: int = 1) -> np.ndarray:
+def pv_sum(f: np.ndarray) -> np.ndarray:
     n = f.shape[0]
     nz = np.flatnonzero(f)
     if nz.size == 0:

@@ -16,8 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitWindowError, GridTooNarrowError, InvalidParameterError
-from .numerics import Grid, SampledSignal, derivative, dft, integrate, l1_norm, sup_norm
+from .errors import (
+    FitWindowError, GridMismatchError, GridTooNarrowError, InvalidParameterError,
+)
+# nothing here calls ``derivative``; it is imported because the benchmark's
+# tracer (hwlbench/trace.py) wraps it under this module's name
+from .numerics import (  # noqa: F401
+    Grid, SampledSignal, derivative, dft, integrate, l1_norm, mixed_norm, sup_norm,
+)
 from .wavelets import PiecewiseConstant, WaveletSpec, evaluate, make_modulated_window, sample
 from .hilbert import SpectralConfig, hilbert_spectral
 
@@ -204,14 +210,22 @@ def fit_decay(f: SampledSignal, window: tuple[float, float], side: str = "two_si
                     side=side, excluded_count=ex)
 
 
-def _mixed_norm(f: SampledSignal) -> float:
-    return l1_norm(f) + sup_norm(derivative(f))
+def _require_same_grid(f: SampledSignal, g: SampledSignal, what: str) -> None:
+    """Raise unless ``f`` and ``g`` share a grid: equal counts, and first and
+    last abscissas within 1e-9 step (the CSV reader's uniformity tolerance)."""
+    a, b = f.grid, g.grid
+    tol = 1e-9 * a.step
+    if a.count != b.count or abs(a.x_min - b.x_min) > tol or abs(a.x_max - b.x_max) > tol:
+        raise GridMismatchError(
+            f"{what} are on different grids: {a.count} samples on "
+            f"[{a.x_min}, {a.x_max}] and {b.count} on [{b.x_min}, {b.x_max}]"
+        )
 
 
 def _norm_bundle(psi: SampledSignal, n: int) -> dict[str, float]:
     bundle = {
-        "mixed(f)": _mixed_norm(psi),
-        f"mixed(x^{n + 1} f)": _mixed_norm(_weighted_signal(psi, n + 1)),
+        "mixed(f)": mixed_norm(psi),
+        f"mixed(x^{n + 1} f)": mixed_norm(_weighted_signal(psi, n + 1)),
     }
     if n >= 1:
         bundle[f"l1(x^{n} f)"] = l1_norm(_weighted_signal(psi, n))
@@ -243,10 +257,12 @@ def theorem_certificate(psi: SampledSignal, hpsi: SampledSignal, n: int) -> Boun
     span and recomputes the transform with the spectral engine: smooth
     inputs whose tail genuinely matches the asserted order keep the
     constant flat, while an undersized decay (a scaling function probed
-    with n >= 1) blows it up roughly linearly.
+    with n >= 1) blows it up roughly linearly.  ``psi`` and ``hpsi`` must
+    share a grid (:class:`GridMismatchError` otherwise).
     """
     if n < 0:
         raise InvalidParameterError(f"n must be >= 0, got {n}")
+    _require_same_grid(psi, hpsi, "psi and hpsi")
     bundle = _norm_bundle(psi, n)
     norm_sum = float(sum(bundle.values()))
     c1 = _empirical_constant(hpsi, n, norm_sum)
@@ -270,8 +286,10 @@ def tail_limit(f: SampledSignal, hf: SampledSignal, x_probe: float) -> tuple[flo
 
     ``x_probe`` is snapped to the nearest grid point and must lie well
     outside the support of f for the comparison to mean anything (the limit
-    is the leading 1/x coefficient of the tail of Hf).
+    is the leading 1/x coefficient of the tail of Hf).  ``f`` and ``hf``
+    must share a grid (:class:`GridMismatchError` otherwise).
     """
+    _require_same_grid(f, hf, "f and hf")
     try:
         idx = f.grid.index_of(x_probe)
     except ValueError as exc:

@@ -11,9 +11,8 @@ analyze  decay | moments | sobolev | bedrosian | certificate | tail-limit |
 figure   render one of the three standard figures as SVG
 
 Grids are given as ``min:max:step`` with count = floor((max-min)/step) + 1;
-exit codes: 0 success, 2 usage error, 3 data error.  The HWL_THREADS
-environment variable advises the PV engine's parallelism (output is
-identical regardless).
+exit codes: 0 success, 2 usage error, 3 data error (unreadable or
+inconsistent input files, such as two signals on different grids).
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,6 +29,7 @@ import numpy as np
 from . import TOOL_VERSION
 from .errors import (
     FitWindowError,
+    GridMismatchError,
     GridTooNarrowError,
     InvalidParameterError,
     ParseError,
@@ -64,20 +65,31 @@ class UsageError(ValueError):
     pass
 
 
+def parse_numbers(text: str, sep: str, what: str, count: int | None = None) -> list[float]:
+    """Split ``text`` on ``sep`` into finite floats (exactly ``count`` of
+    them when given); anything else is a :class:`UsageError`."""
+    parts = text.split(sep)
+    if count is not None and len(parts) != count:
+        raise UsageError(f"{what} needs {count} fields separated by {sep!r}, got {text!r}")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise UsageError(f"{what} fields must be numbers: {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{what} fields must be finite: {text!r}")
+    return values
+
+
 def parse_grid(text: str) -> Grid:
     """Parse ``min:max:step``; count = floor((max-min)/step) + 1."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"grid must be min:max:step, got {text!r}")
-    try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"grid fields must be numbers: {text!r}") from None
+    lo, hi, step = parse_numbers(text, ":", "grid min:max:step", count=3)
     if not (lo < hi and step > 0):
         raise UsageError(f"grid needs min < max and step > 0, got {text!r}")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    if count > MAX_GRID_COUNT:
-        raise UsageError(f"grid would have {count} samples (cap {MAX_GRID_COUNT})")
+    steps = (hi - lo) / step
+    # also catches a quotient that overflows to inf
+    if not steps + 1e-9 < MAX_GRID_COUNT:
+        raise UsageError(f"grid {text!r} has more than {MAX_GRID_COUNT} samples (the cap)")
+    count = int(np.floor(steps + 1e-9)) + 1
     if count < 2:
         raise UsageError(f"grid has fewer than 2 samples: {text!r}")
     return Grid(lo, step, count)
@@ -89,17 +101,20 @@ def parse_wavelet(text: str):
     Parameter grammar: bspline-scaling,DEG  spline-wavelet,DEG
     sinc2-cos,OMEGA0[,PHASE]  gauss-cos,SIGMA,OMEGA0[,PHASE]  box,A,B.
     """
-    name, *raw = text.split(",")
+    name, comma, raw = text.partition(",")
     if name not in WAVELET_NAMES:
         raise UsageError(f"unknown wavelet {name!r}; choose from {', '.join(WAVELET_NAMES)}")
-    try:
-        params = [float(p) for p in raw]
-    except ValueError:
-        raise UsageError(f"non-numeric wavelet parameter in {text!r}") from None
+    params = parse_numbers(raw, ",", f"{name} parameter") if comma else []
 
     def need(k):
         if len(params) != k:
             raise UsageError(f"{name} takes {k} parameter(s), got {len(params)}")
+
+    def degree():
+        need(1)
+        if not params[0].is_integer():
+            raise UsageError(f"{name} degree must be an integer, got {params[0]}")
+        return int(params[0])
 
     try:
         if name == "haar-scaling":
@@ -109,11 +124,9 @@ def parse_wavelet(text: str):
             need(0)
             return wavelets.make_haar_wavelet()
         if name == "bspline-scaling":
-            need(1)
-            return wavelets.make_bspline_scaling(int(params[0]))
+            return wavelets.make_bspline_scaling(degree())
         if name == "spline-wavelet":
-            need(1)
-            return wavelets.make_spline_wavelet(int(params[0]))
+            return wavelets.make_spline_wavelet(degree())
         if name == "sinc2-cos":
             if len(params) not in (1, 2):
                 raise UsageError("sinc2-cos takes OMEGA0[,PHASE]")
@@ -184,7 +197,7 @@ def _pass_and_params(checks: dict[str, bool | None], params: dict) -> dict:
 
 def cmd_analyze_decay(args) -> int:
     f = read_signal_csv(getattr(args, "in"))
-    lo, hi = (float(p) for p in args.window.split(":"))
+    lo, hi = parse_numbers(args.window, ":", "window lo:hi", count=2)
     fit = analysis.fit_decay(f, (lo, hi), side=args.side)
     checks = {}
     if args.expect_exponent is not None:
@@ -216,7 +229,7 @@ def cmd_analyze_moments(args) -> int:
 
 def cmd_analyze_sobolev(args) -> int:
     f = read_signal_csv(getattr(args, "in"))
-    gammas = [float(g) for g in args.gammas.split(",")]
+    gammas = parse_numbers(args.gammas, ",", "gammas")
     est = analysis.smoothness_profile(f, gammas)
     checks = {}
     if args.expect_order is not None:
@@ -498,7 +511,7 @@ def main(argv=None) -> int:
     except (UsageError, InvalidParameterError, GridTooNarrowError) as exc:
         print(f"hwl: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, SchemaError, FitWindowError, OSError) as exc:
+    except (ParseError, SchemaError, FitWindowError, GridMismatchError, OSError) as exc:
         print(f"hwl: {exc}", file=sys.stderr)
         return 3
 

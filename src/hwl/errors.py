@@ -21,6 +21,10 @@ class GridTooNarrowError(HwlError, ValueError):
     """The grid does not contain enough of the signal for the requested check."""
 
 
+class GridMismatchError(HwlError, ValueError):
+    """Two signals that one analysis combines are sampled on different grids."""
+
+
 class ParseError(HwlError, ValueError):
     """A signal file is malformed; carries the offending 1-based row number."""
 

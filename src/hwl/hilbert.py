@@ -22,13 +22,12 @@ the integrand samples g(j*h) = (f[i-j] - f[i+j]) / (j*h), giving weights
 from that limit.  Switching the correction off (PvConfig) drops the scheme
 from second to first order on smooth inputs.
 
-The quadrature backend is a compiled kernel when the optional extension was
-built, else a NumPy direct convolution; ``PV_BACKEND`` records the choice.
+The outer-cell sum is one NumPy direct convolution (``_pv_numpy.pv_sum``);
+``PV_BACKEND`` names it in benchmark records.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +37,7 @@ from .numerics import SampledSignal, derivative
 from .wavelets import PiecewiseConstant
 from . import _pv_numpy
 
-try:
-    from . import _pv_ext
-except ImportError:  # extension not built; NumPy path only
-    _pv_ext = None
-
-PV_BACKEND = "compiled" if _pv_ext is not None else "numpy"
+PV_BACKEND = "numpy"
 
 __all__ = [
     "PvConfig",
@@ -57,17 +51,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PvConfig:
-    """Knobs for the PV engine.
+    """Knob for the PV engine.
 
     ``singularity_correction`` toggles the central-cell term -h*f'(x)/pi
     (on by default; required for second-order accuracy).
-    ``eval_parallelism`` is an advisory thread count for the compiled
-    backend; the HWL_THREADS environment variable overrides it.  Results are
-    bit-identical for any thread count.
     """
 
     singularity_correction: bool = True
-    eval_parallelism: int = 1
 
 
 @dataclass(frozen=True)
@@ -81,33 +71,6 @@ class SpectralConfig:
     def __post_init__(self):
         if int(self.pad_factor) < 1:
             raise InvalidParameterError(f"pad_factor must be >= 1, got {self.pad_factor}")
-
-
-def _resolve_threads(cfg: PvConfig) -> int:
-    env = os.environ.get("HWL_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, int(cfg.eval_parallelism))
-
-
-def _reciprocal_kernel(n: int) -> np.ndarray:
-    m = np.arange(-(n - 1), n, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        return np.where(m == 0.0, 0.0, -1.0 / m)
-
-
-def _pv_sum(values: np.ndarray, n_threads: int) -> np.ndarray:
-    if _pv_ext is not None:
-        nz = np.flatnonzero(values)
-        out = np.zeros(values.shape[0])
-        if nz.size:
-            kernel = _reciprocal_kernel(values.shape[0])
-            _pv_ext.pv_sum(values, kernel, out, int(nz[0]), int(nz[-1]), n_threads)
-        return out
-    return _pv_numpy.pv_sum(values, n_threads)
 
 
 def hilbert_pv(f: SampledSignal, cfg: PvConfig | None = None) -> SampledSignal:
@@ -124,7 +87,7 @@ def hilbert_pv(f: SampledSignal, cfg: PvConfig | None = None) -> SampledSignal:
     gone, and what remains is of order jump/(12*pi*k^2).
     """
     cfg = cfg or PvConfig()
-    s = _pv_sum(f.values, _resolve_threads(cfg))
+    s = _pv_numpy.pv_sum(f.values)
     if cfg.singularity_correction:
         s = s - f.grid.step * derivative(f).values
     return SampledSignal(f.grid, s / np.pi)

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidParameterError
+
 __all__ = [
     "Grid",
     "SampledSignal",
@@ -65,7 +67,9 @@ class Grid:
 
     def index_of(self, x: float) -> int:
         """Index of the grid point nearest to ``x``; error if outside the grid."""
-        i = int(round((x - self.x_min) / self.step))
+        pos = (x - self.x_min) / self.step
+        # an infinite x, or a quotient that overflows, lies outside as well
+        i = int(round(pos)) if np.isfinite(pos) else -1
         if i < 0 or i >= self.count:
             raise ValueError(f"x = {x} lies outside the grid [{self.x_min}, {self.x_max}]")
         return i
@@ -76,7 +80,7 @@ def _as_locked_array(values, count: int) -> np.ndarray:
     if v.ndim != 1 or v.shape[0] != count:
         raise ValueError(f"expected {count} values, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("signal values must be finite (no NaN/Inf)")
+        raise InvalidParameterError("signal values must be finite (no NaN/Inf)")
     v = v.copy()
     v.setflags(write=False)
     return v

@@ -136,7 +136,7 @@ def test_criterion_04b_haar_tail_bound(grid_64):
         "4b",
         worst <= 1.05,
         f"sup |H|pi x^2 = {worst:.4f} at x = {where:+.4f} (cap 1.05); the exact "
-        f"ratio is 1 + 1/(2x^2) + O(x^-4), i.e. above the cap until |x| ~ 3.25; "
+        f"ratio is 1 + 1/(2x^2) + O(x^-4), i.e. above the cap until |x| ~ 3.267; "
         f"sup over |x| >= 4 is {beyond_4:.4f}",
     )
 

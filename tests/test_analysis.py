@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from hwl import analysis
-from hwl.errors import FitWindowError, GridTooNarrowError, InvalidParameterError
+from hwl.errors import (
+    FitWindowError, GridMismatchError, GridTooNarrowError, InvalidParameterError,
+)
 from hwl.hilbert import SpectralConfig, hilbert_box_closed_form, hilbert_spectral
-from hwl.numerics import SampledSignal, dft, integrate, l2_norm
+from hwl.numerics import Grid, SampledSignal, dft, integrate, l2_norm
 from hwl.wavelets import (
     make_box,
     make_bspline_scaling,
@@ -202,6 +204,36 @@ class TestTailLimit:
         f = sample(make_box(0.0, 1.0), grid_8)
         with pytest.raises(InvalidParameterError):
             analysis.tail_limit(f, f, 100.0)
+        with pytest.raises(InvalidParameterError):
+            analysis.tail_limit(f, f, math.inf)
+
+
+class TestGridMismatch:
+    """Analyses that combine two signals refuse signals on different grids."""
+
+    @pytest.mark.parametrize("x_min,count", [
+        (-32.0, 16385),              # the span doubled
+        (-16.0 + STEP / 2, 8193),    # same count, half a step off
+        (-16.0, 8192),               # one sample short
+    ])
+    def test_rejected(self, grid_16, x_min, count):
+        psi = sample(make_spline_wavelet(3), grid_16)
+        hpsi = hilbert_spectral(sample(make_spline_wavelet(3), Grid(x_min, STEP, count)))
+        with pytest.raises(GridMismatchError):
+            analysis.tail_limit(psi, hpsi, 10.0)
+        with pytest.raises(GridMismatchError):
+            analysis.theorem_certificate(psi, hpsi, 4)
+
+    def test_rounding_offset_accepted(self, grid_16):
+        # the CSV reader's own uniformity tolerance, 1e-9 step
+        psi = sample(make_spline_wavelet(3), grid_16)
+        g = Grid(grid_16.x_min + 1e-12 * STEP, STEP, grid_16.count)
+        hpsi = SampledSignal(g, hilbert_spectral(psi).values)
+        want = analysis.theorem_certificate(psi, hilbert_spectral(psi), 4)
+        got = analysis.theorem_certificate(psi, hpsi, 4)
+        assert got.empirical_constant == pytest.approx(want.empirical_constant, rel=1e-12)
+        assert analysis.tail_limit(psi, hpsi, 10.0) == pytest.approx(
+            analysis.tail_limit(psi, hilbert_spectral(psi), 10.0), rel=1e-12)
 
 
 class TestSobolev:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hwl import cli
 from hwl.report_io import read_signal_csv
@@ -16,6 +17,22 @@ def run(args) -> int:
         return cli.main([str(a) for a in args])
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+
+
+def assert_refused(capsys, args, code: int) -> None:
+    """The CLI exits with ``code`` and one ``hwl:`` message, no traceback."""
+    assert run(args) == code, args
+    err = capsys.readouterr().err
+    assert err.startswith("hwl: ") and "Traceback" not in err, err
+
+
+@pytest.fixture(scope="module")
+def small_signal(tmp_path_factory):
+    """A cubic spline wavelet on 513 samples, for runs that refuse an option."""
+    path = tmp_path_factory.mktemp("small") / "w3.csv"
+    assert run(["gen", "--wavelet", "spline-wavelet,3", "--grid", "-16:16:0.0625",
+                "--out", path]) == 0
+    return path
 
 
 class TestGen:
@@ -37,12 +54,27 @@ class TestGen:
     def test_unknown_wavelet_is_usage_error(self, tmp_path):
         assert run(["gen", "--wavelet", "nosuch",
                     "--grid", "-1:1:0.25", "--out", tmp_path / "x.csv"]) == 2
+        # a degree that is not an integer is refused, not truncated
+        assert run(["gen", "--wavelet", "spline-wavelet,2.7",
+                    "--grid", "-1:1:0.25", "--out", tmp_path / "x.csv"]) == 2
 
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert run(["gen", "--wavelet", "haar-wavelet",
                     "--grid", "4:-4:0.25", "--out", tmp_path / "x.csv"]) == 2
         assert run(["gen", "--wavelet", "haar-wavelet",
                     "--grid", "oops", "--out", tmp_path / "x.csv"]) == 2
+        assert run(["gen", "--wavelet", "haar-wavelet",
+                    "--grid", "0:inf:1", "--out", tmp_path / "x.csv"]) == 2
+
+    @pytest.mark.parametrize("wavelet,grid", [
+        ("bspline-scaling,2.7", "-1:1:0.25"),
+        ("haar-wavelet", "-1e308:1e308:1"),  # the sample count overflows
+        ("sinc2-cos,1e308", "-4:4:1"),  # finite parameters, non-finite samples
+    ])
+    def test_refusals_name_the_problem(self, tmp_path, capsys, wavelet, grid):
+        assert_refused(capsys, ["gen", "--wavelet", wavelet, "--grid", grid,
+                                "--out", tmp_path / "x.csv"], 2)
+        assert not (tmp_path / "x.csv").exists()
 
     def test_grid_count_cap(self, tmp_path):
         assert run(["gen", "--wavelet", "haar-wavelet",
@@ -183,6 +215,28 @@ class TestAnalyze:
         assert payload["smoothness_order"] == 2
         assert payload["pass"] is True
 
+    @pytest.mark.parametrize("window", ["4", "4:x", "4:8:9", "4:inf"])
+    def test_bad_window_is_usage_error(self, tmp_path, capsys, small_signal, window):
+        assert_refused(capsys, ["analyze", "decay", "--in", small_signal, "--window", window,
+                                "--json", tmp_path / "d.json"], 2)
+
+    @pytest.mark.parametrize("gammas", ["a,b", "1,,2", "nan"])
+    def test_bad_gammas_is_usage_error(self, tmp_path, capsys, small_signal, gammas):
+        assert_refused(capsys, ["analyze", "sobolev", "--in", small_signal, "--gammas", gammas,
+                                "--json", tmp_path / "s.json"], 2)
+
+    def test_signals_on_different_grids_are_data_error(self, tmp_path, capsys):
+        narrow, wide = tmp_path / "narrow.csv", tmp_path / "wide.csv"
+        for path, grid in ((narrow, "-16:16:0.00390625"), (wide, "-32:32:0.00390625")):
+            run(["gen", "--wavelet", "spline-wavelet,3", "--grid", grid, "--out", path])
+        capsys.readouterr()
+        assert_refused(capsys, ["analyze", "tail-limit", "--in", narrow, "--hilbert", wide,
+                                "--probe", 10, "--json", tmp_path / "t.json"], 3)
+        assert_refused(capsys, ["analyze", "certificate", "--psi", narrow, "--hpsi", wide,
+                                "--order", 4, "--json", tmp_path / "c.json"], 3)
+        assert not (tmp_path / "t.json").exists()
+        assert not (tmp_path / "c.json").exists()
+
     def test_partition_report(self, tmp_path):
         report = tmp_path / "part.json"
         assert run(["analyze", "partition", "--wavelet", "bspline-scaling,3",
@@ -204,3 +258,39 @@ class TestFigure:
 
     def test_bad_id_is_usage_error(self, tmp_path):
         assert run(["figure", "--id", 9, "--out", tmp_path / "f.svg"]) == 2
+
+
+# one field of a numeric option: floats as Python prints them (nan, inf and
+# the extremes included), small integers, and short junk
+_FIELD = st.one_of(
+    st.floats().map(repr),
+    st.integers(-40, 40).map(str),
+    st.text(alphabet="0123456789.+-eEinfax ", max_size=6),
+)
+
+
+def _joined(sep: str):
+    return st.lists(_FIELD, min_size=0, max_size=4).map(sep.join)
+
+
+_WAVELET = st.tuples(
+    st.sampled_from(cli.WAVELET_NAMES + ("nosuch",)), st.lists(_FIELD, max_size=3),
+).map(lambda t: ",".join((t[0], *t[1])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wavelet=_WAVELET, grid=_joined(":"), window=_joined(":"), gammas=_joined(","))
+def test_parse_points_exit_cleanly(small_signal, wavelet, grid, window, gammas):
+    """Whatever the text of --wavelet, --grid, --window or --gammas, the CLI
+    exits 0, 2 or 3 and never raises."""
+    out = small_signal.parent
+    with pytest.MonkeyPatch.context() as mp:
+        # a small cap keeps every accepted grid small; the cap path is the
+        # same code as at 2^24
+        mp.setattr(cli, "MAX_GRID_COUNT", 4097)
+        assert run(["gen", "--wavelet", wavelet, "--grid", grid,
+                    "--out", out / "gen.csv"]) in (0, 2, 3)
+    assert run(["analyze", "decay", "--in", small_signal, "--window", window,
+                "--json", out / "decay.json"]) in (0, 2, 3)
+    assert run(["analyze", "sobolev", "--in", small_signal, "--gammas", gammas,
+                "--json", out / "sobolev.json"]) in (0, 2, 3)

@@ -1,4 +1,4 @@
-"""Both transform engines, the step-function oracle, and the backends."""
+"""Both transform engines, the step-function oracle, and the PV kernel."""
 
 import math
 
@@ -26,9 +26,6 @@ from hwl.wavelets import (
 )
 
 from conftest import STEP, make_grid
-
-needs_ext = pytest.mark.skipif(PV_BACKEND != "compiled",
-                               reason="compiled PV kernel not built")
 
 
 class TestClosedForm:
@@ -213,30 +210,6 @@ class TestBackends:
                 want[i] += (left - right) / j
         np.testing.assert_allclose(_pv_numpy.pv_sum(f), want, atol=1e-14)
 
-    @needs_ext
-    def test_compiled_matches_numpy(self):
-        from hwl.hilbert import _pv_sum
-        r = np.random.default_rng(7)
-        f = np.zeros(2048)
-        f[400:900] = r.normal(size=500)
-        got = _pv_sum(f, 1)
-        want = _pv_numpy.pv_sum(f)
-        scale = np.max(np.abs(want))
-        assert np.max(np.abs(got - want)) < 1e-12 * scale
-
-    @needs_ext
-    def test_thread_count_bit_identical(self, monkeypatch):
-        g = make_grid(-8.0, 8.0)
-        f = sample(make_spline_wavelet(3), g)
-        monkeypatch.setenv("HWL_THREADS", "1")
-        one = hilbert_pv(f).values
-        monkeypatch.setenv("HWL_THREADS", "4")
-        four = hilbert_pv(f).values
-        np.testing.assert_array_equal(one, four)
-
-    def test_eval_parallelism_config(self):
-        g = make_grid(-4.0, 4.0)
-        f = sample(make_bspline_scaling(2), g)
-        a = hilbert_pv(f, PvConfig(eval_parallelism=1)).values
-        b = hilbert_pv(f, PvConfig(eval_parallelism=2)).values
-        np.testing.assert_array_equal(a, b)
+    def test_backend_name(self):
+        # benchmark records read this constant
+        assert PV_BACKEND == "numpy"
