@@ -328,6 +328,8 @@ def smoothness_profile(f: SampledSignal, gamma_grid) -> SobolevEstimate:
         raise InvalidParameterError("gamma_grid must be nonempty")
     if any(g < 0 for g in gammas):
         raise InvalidParameterError("gamma_grid entries must be >= 0")
+    if f.grid.count < 3:
+        raise GridTooNarrowError("the 2x-coarsening probe needs at least 3 samples")
     coarse = _coarsen(f)
     norms = [sobolev_norm(f, g) for g in gammas]
     norms_c = [sobolev_norm(coarse, g) for g in gammas]
@@ -415,6 +417,8 @@ def partition_deviation(spec: WaveletSpec | PiecewiseConstant, k_range: int,
     g = hilbert_spectral(sample(spec, grid), SpectralConfig()).values
     for k in range(-k_range, k_range + 1):
         s = k * shift
+        if abs(s) >= grid.count:
+            continue  # the shifted copy lies entirely outside the grid
         if s >= 0:
             total[s:] += g[:grid.count - s] if s else g
         else:

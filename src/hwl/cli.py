@@ -11,7 +11,8 @@ analyze  decay | moments | sobolev | bedrosian | certificate | tail-limit |
 figure   render one of the three standard figures as SVG
 
 Grids are given as ``min:max:step`` with count = floor((max-min)/step) + 1;
-exit codes: 0 success, 2 usage error, 3 data error (unreadable or
+exit codes: 0 success, 2 usage error (including a non-finite option value
+and arithmetic that overflows or turns invalid), 3 data error (unreadable or
 inconsistent input files, such as two signals on different grids).
 """
 
@@ -19,14 +20,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import TOOL_VERSION
 from .errors import (
     FitWindowError,
     GridMismatchError,
@@ -78,6 +77,11 @@ def parse_numbers(text: str, sep: str, what: str, count: int | None = None) -> l
     if not all(math.isfinite(v) for v in values):
         raise UsageError(f"{what} fields must be finite: {text!r}")
     return values
+
+
+def finite_float(text: str) -> float:
+    """The argparse type of every float option: one finite number."""
+    return parse_numbers(text, ",", "option value", count=1)[0]
 
 
 def parse_grid(text: str) -> Grid:
@@ -152,10 +156,8 @@ def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_run_json(path, kind: str, input_digest: str, payload: dict) -> None:
-    obj = {"kind": kind, "tool_version": TOOL_VERSION, "input_digest": input_digest}
-    obj.update(payload)
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+# the benchmark's tracer (hwlbench/trace.py) wraps the writer under this name
+_write_run_json = write_report_json
 
 
 # --------------------------------------------------------------------------
@@ -184,18 +186,24 @@ def cmd_hilbert(args) -> int:
         out = hilbert_spectral(f, cfg)
         meta = {"method": "spectral", "pad_factor": cfg.pad_factor}
     write_signal_csv(out, args.out)
-    _write_run_json(str(args.out) + ".meta.json", "hilbert_run", digest, meta)
+    write_report_json(("hilbert_run", meta), str(args.out) + ".meta.json", input_digest=digest)
     return 0
 
 
-def _pass_and_params(checks: dict[str, bool | None], params: dict) -> dict:
-    applied = {k: v for k, v in checks.items() if v is not None}
-    out = {"parameters": params, "checks": applied}
-    out["pass"] = all(applied.values()) if applied else True
-    return out
+def cmd_analyze(args) -> int:
+    """Run one analysis and write its report: the analysis's fields, then
+    the run's ``parameters``, the ``checks`` applied and their ``pass``."""
+    report, digest, checks, params = args.analyze(args)
+    write_report_json(report, args.json, input_digest=digest, extra={
+        "parameters": params, "checks": checks, "pass": all(checks.values()),
+    })
+    return 0
 
 
-def cmd_analyze_decay(args) -> int:
+# Each analysis returns (report, input digest, checks, parameters); a check
+# is present only when its expectation was given.
+
+def analyze_decay(args):
     f = read_signal_csv(getattr(args, "in"))
     lo, hi = parse_numbers(args.window, ":", "window lo:hi", count=2)
     fit = analysis.fit_decay(f, (lo, hi), side=args.side)
@@ -206,42 +214,30 @@ def cmd_analyze_decay(args) -> int:
         checks["min_exponent"] = fit.exponent >= args.min_exponent
     if args.min_r2 is not None:
         checks["r_squared"] = fit.r_squared > args.min_r2
-    write_report_json(
-        fit, args.json, input_digest=_digest(getattr(args, "in")),
-        extra=_pass_and_params(checks, {"window": [lo, hi], "side": args.side}),
-    )
-    return 0
+    return fit, _digest(getattr(args, "in")), checks, {"window": [lo, hi], "side": args.side}
 
 
-def cmd_analyze_moments(args) -> int:
+def analyze_moments(args):
     f = read_signal_csv(getattr(args, "in"))
     report = analysis.moments(f, args.max_order, tolerance=args.tolerance)
     checks = {}
     if args.expect_count is not None:
         checks["vanishing_count"] = report.vanishing_count >= args.expect_count
-    write_report_json(
-        report, args.json, input_digest=_digest(getattr(args, "in")),
-        extra=_pass_and_params(checks, {"max_order": args.max_order,
-                                        "tolerance": args.tolerance}),
-    )
-    return 0
+    params = {"max_order": args.max_order, "tolerance": args.tolerance}
+    return report, _digest(getattr(args, "in")), checks, params
 
 
-def cmd_analyze_sobolev(args) -> int:
+def analyze_sobolev(args):
     f = read_signal_csv(getattr(args, "in"))
     gammas = parse_numbers(args.gammas, ",", "gammas")
     est = analysis.smoothness_profile(f, gammas)
     checks = {}
     if args.expect_order is not None:
         checks["smoothness_order"] = est.smoothness_order == args.expect_order
-    write_report_json(
-        est, args.json, input_digest=_digest(getattr(args, "in")),
-        extra=_pass_and_params(checks, {"gammas": gammas}),
-    )
-    return 0
+    return est, _digest(getattr(args, "in")), checks, {"gammas": gammas}
 
 
-def cmd_analyze_bedrosian(args) -> int:
+def analyze_bedrosian(args):
     grid = parse_grid(args.grid)
     residual = analysis.bedrosian_residual(args.window, args.omega0, grid, sigma=args.sigma)
     checks = {}
@@ -249,20 +245,12 @@ def cmd_analyze_bedrosian(args) -> int:
         checks["max_residual"] = residual < args.max_residual
     if args.min_residual is not None:
         checks["min_residual"] = residual > args.min_residual
-    _write_run_json(
-        args.json, "bedrosian_residual", "",
-        {
-            "residual": residual,
-            **_pass_and_params(checks, {
-                "window": args.window, "omega0": args.omega0,
-                "sigma": args.sigma, "grid": args.grid,
-            }),
-        },
-    )
-    return 0
+    params = {"window": args.window, "omega0": args.omega0,
+              "sigma": args.sigma, "grid": args.grid}
+    return ("bedrosian_residual", {"residual": residual}), "", checks, params
 
 
-def cmd_analyze_certificate(args) -> int:
+def analyze_certificate(args):
     psi = read_signal_csv(args.psi)
     hpsi = read_signal_csv(args.hpsi)
     cert = analysis.theorem_certificate(psi, hpsi, args.order)
@@ -270,14 +258,10 @@ def cmd_analyze_certificate(args) -> int:
     if args.expect_stable is not None:
         checks["stable"] = cert.stable == (args.expect_stable == "true")
     digest = f"{_digest(args.psi)},{_digest(args.hpsi)}"
-    write_report_json(
-        cert, args.json, input_digest=digest,
-        extra=_pass_and_params(checks, {"order": args.order}),
-    )
-    return 0
+    return cert, digest, checks, {"order": args.order}
 
 
-def cmd_analyze_tail_limit(args) -> int:
+def analyze_tail_limit(args):
     f = read_signal_csv(getattr(args, "in"))
     hf = read_signal_csv(args.hilbert)
     probe, predicted = analysis.tail_limit(f, hf, args.probe)
@@ -285,24 +269,19 @@ def cmd_analyze_tail_limit(args) -> int:
     if args.rel_tol is not None:
         checks["relative_agreement"] = abs(probe - predicted) <= args.rel_tol * abs(predicted)
     digest = f"{_digest(getattr(args, 'in'))},{_digest(args.hilbert)}"
-    _write_run_json(
-        args.json, "tail_limit", digest,
-        {
-            "probe_value": probe,
-            "predicted": predicted,
-            **_pass_and_params(checks, {"probe": args.probe}),
-        },
-    )
-    return 0
+    record = ("tail_limit", {"probe_value": probe, "predicted": predicted})
+    return record, digest, checks, {"probe": args.probe}
 
 
-def cmd_analyze_partition(args) -> int:
+def analyze_partition(args):
     spec = parse_wavelet(args.wavelet)
     grid = parse_grid(args.grid)
     dev = analysis.partition_deviation(spec, args.k, args.transformed, grid)
     x = dev.x()
     center = 0.5 * (x[0] + x[-1])
     central = np.abs(x - center) <= args.central_halfwidth
+    if not central.any():
+        raise UsageError(f"--central-halfwidth {args.central_halfwidth} selects no sample")
     max_abs = float(np.max(np.abs(dev.values[central])))
     min_abs = float(np.min(np.abs(dev.values[central])))
     checks = {}
@@ -312,19 +291,10 @@ def cmd_analyze_partition(args) -> int:
         checks["min_central_deviation"] = min_abs > args.min_central
     if args.out_csv:
         write_signal_csv(dev, args.out_csv)
-    _write_run_json(
-        args.json, "partition_deviation", "",
-        {
-            "max_abs_central": max_abs,
-            "min_abs_central": min_abs,
-            **_pass_and_params(checks, {
-                "wavelet": args.wavelet, "k": args.k,
-                "transformed": args.transformed, "grid": args.grid,
-                "central_halfwidth": args.central_halfwidth,
-            }),
-        },
-    )
-    return 0
+    record = ("partition_deviation", {"max_abs_central": max_abs, "min_abs_central": min_abs})
+    params = {"wavelet": args.wavelet, "k": args.k, "transformed": args.transformed,
+              "grid": args.grid, "central_halfwidth": args.central_halfwidth}
+    return record, "", checks, params
 
 
 # --------------------------------------------------------------------------
@@ -407,38 +377,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True, dest="in")
     p.add_argument("--window", required=True, help="lo:hi in |x|")
     p.add_argument("--side", default="two_sided", choices=("left", "right", "two_sided"))
-    p.add_argument("--expect-exponent", type=float, default=None)
-    p.add_argument("--exponent-tol", type=float, default=0.1)
-    p.add_argument("--min-exponent", type=float, default=None)
-    p.add_argument("--min-r2", type=float, default=None)
+    p.add_argument("--expect-exponent", type=finite_float, default=None)
+    p.add_argument("--exponent-tol", type=finite_float, default=0.1)
+    p.add_argument("--min-exponent", type=finite_float, default=None)
+    p.add_argument("--min-r2", type=finite_float, default=None)
     p.add_argument("--json", required=True)
-    p.set_defaults(func=cmd_analyze_decay)
+    p.set_defaults(func=cmd_analyze, analyze=analyze_decay)
 
     p = asub.add_parser("moments")
     p.add_argument("--in", required=True, dest="in")
     p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=finite_float, default=None,
                    help="absolute moment tolerance (default: truncation-aware)")
     p.add_argument("--expect-count", type=int, default=None)
     p.add_argument("--json", required=True)
-    p.set_defaults(func=cmd_analyze_moments)
+    p.set_defaults(func=cmd_analyze, analyze=analyze_moments)
 
     p = asub.add_parser("sobolev")
     p.add_argument("--in", required=True, dest="in")
     p.add_argument("--gammas", default="0,0.75,1.5,2,2.75,3,3.25,4")
     p.add_argument("--expect-order", type=int, default=None)
     p.add_argument("--json", required=True)
-    p.set_defaults(func=cmd_analyze_sobolev)
+    p.set_defaults(func=cmd_analyze, analyze=analyze_sobolev)
 
     p = asub.add_parser("bedrosian")
     p.add_argument("--window", required=True, choices=("sinc2", "gauss"))
-    p.add_argument("--omega0", type=float, required=True)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--omega0", type=finite_float, required=True)
+    p.add_argument("--sigma", type=finite_float, default=1.0)
     p.add_argument("--grid", required=True)
-    p.add_argument("--max-residual", type=float, default=None)
-    p.add_argument("--min-residual", type=float, default=None)
+    p.add_argument("--max-residual", type=finite_float, default=None)
+    p.add_argument("--min-residual", type=finite_float, default=None)
     p.add_argument("--json", required=True)
-    p.set_defaults(func=cmd_analyze_bedrosian)
+    p.set_defaults(func=cmd_analyze, analyze=analyze_bedrosian)
 
     p = asub.add_parser("certificate")
     p.add_argument("--psi", required=True)
@@ -446,27 +416,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--expect-stable", choices=("true", "false"), default=None)
     p.add_argument("--json", required=True)
-    p.set_defaults(func=cmd_analyze_certificate)
+    p.set_defaults(func=cmd_analyze, analyze=analyze_certificate)
 
     p = asub.add_parser("tail-limit")
     p.add_argument("--in", required=True, dest="in")
     p.add_argument("--hilbert", required=True)
-    p.add_argument("--probe", type=float, required=True)
-    p.add_argument("--rel-tol", type=float, default=None)
+    p.add_argument("--probe", type=finite_float, required=True)
+    p.add_argument("--rel-tol", type=finite_float, default=None)
     p.add_argument("--json", required=True)
-    p.set_defaults(func=cmd_analyze_tail_limit)
+    p.set_defaults(func=cmd_analyze, analyze=analyze_tail_limit)
 
     p = asub.add_parser("partition")
     p.add_argument("--wavelet", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--transformed", action="store_true")
     p.add_argument("--grid", required=True)
-    p.add_argument("--central-halfwidth", type=float, default=2.0)
-    p.add_argument("--max-central", type=float, default=None)
-    p.add_argument("--min-central", type=float, default=None)
+    p.add_argument("--central-halfwidth", type=finite_float, default=2.0)
+    p.add_argument("--max-central", type=finite_float, default=None)
+    p.add_argument("--min-central", type=finite_float, default=None)
     p.add_argument("--out-csv", default=None)
     p.add_argument("--json", required=True)
-    p.set_defaults(func=cmd_analyze_partition)
+    p.set_defaults(func=cmd_analyze, analyze=analyze_partition)
 
     p = sub.add_parser("figure", help="render a standard figure as SVG")
     p.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
@@ -507,7 +477,12 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_absorb_dash_values(list(argv)))
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except ArithmeticError as exc:  # NumPy's FloatingPointError, Python's OverflowError
+        print(f"hwl: arithmetic out of range ({exc}); check the inputs and options",
+              file=sys.stderr)
+        return 2
     except (UsageError, InvalidParameterError, GridTooNarrowError) as exc:
         print(f"hwl: {exc}", file=sys.stderr)
         return 2

@@ -50,9 +50,9 @@ class Grid:
 
     def __post_init__(self):
         if not (self.step > 0):
-            raise ValueError(f"grid step must be positive, got {self.step}")
+            raise InvalidParameterError(f"grid step must be positive, got {self.step}")
         if self.count < 2:
-            raise ValueError(f"grid needs at least 2 samples, got {self.count}")
+            raise InvalidParameterError(f"grid needs at least 2 samples, got {self.count}")
 
     @property
     def x_max(self) -> float:

@@ -1,15 +1,19 @@
-"""Serialization: bit-exact signal CSV, JSON analysis reports, SVG figures.
+"""Serialization: bit-exact signal CSV, JSON reports, SVG figures.
 
 CSV and the JSON report schema are the package's stable external contracts:
 
 * signal CSV: header line ``x,value``, one row per sample, 17-significant-
   digit decimal floats (lossless for binary64), uniform abscissa spacing
   validated to 1e-9 relative on read;
-* report JSON: one object per report with a ``kind`` discriminator
-  (``moment_report``, ``decay_fit``, ``bound_certificate``,
-  ``sobolev_estimate``), every report field, ``tool_version`` and
-  ``input_digest``; serialized with sorted keys so identical inputs give
-  identical bytes.
+* report JSON: one strict-JSON object per report (no ``NaN`` or
+  ``Infinity``), serialized with sorted keys so identical inputs give
+  identical bytes.  Every report carries the envelope ``kind``,
+  ``tool_version`` and ``input_digest``, then its own fields.  Eight kinds
+  exist.  Four are the analysis dataclasses (``moment_report``,
+  ``decay_fit``, ``bound_certificate``, ``sobolev_estimate``) and read back
+  as those dataclasses.  Four are records of CLI runs (``hilbert_run``,
+  ``bedrosian_residual``, ``tail_limit``, ``partition_deviation``) and read
+  back as dicts; their required fields are :data:`RECORD_FIELDS`.
 
 Figures are emitted as standalone SVG with hand-built paths and axes; no
 plotting dependency.
@@ -49,6 +53,21 @@ _REPORT_KINDS = {
 }
 _KIND_BY_TYPE = {cls: kind for kind, cls in _REPORT_KINDS.items()}
 
+# the record kinds, written as ``(kind, fields)``, and the fields each needs;
+# ``hilbert_run`` also carries its engine's setting (``pad_factor`` or
+# ``singularity_correction``)
+RECORD_FIELDS = {
+    "hilbert_run": ("method",),
+    "bedrosian_residual": ("residual",),
+    "tail_limit": ("probe_value", "predicted"),
+    "partition_deviation": ("max_abs_central", "min_abs_central"),
+}
+_REQUIRED = {
+    **{kind: tuple(f.name for f in dataclasses.fields(cls))
+       for kind, cls in _REPORT_KINDS.items()},
+    **RECORD_FIELDS,
+}
+
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
@@ -64,7 +83,10 @@ def write_signal_csv(f: SampledSignal, path) -> None:
 
 def read_signal_csv(path) -> SampledSignal:
     """Parse a signal CSV; malformed content raises ParseError with the row."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not text: {exc.reason} at byte {exc.start}") from None
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if not lines:
         raise ParseError("empty file")
@@ -113,26 +135,52 @@ def _jsonable(value):
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def write_report_json(report, path, input_digest: str = "", extra: dict | None = None) -> None:
-    """Serialize an analysis report deterministically.
+def _require(kind, fields) -> None:
+    missing = [name for name in _REQUIRED[kind] if name not in fields]
+    if missing:
+        raise SchemaError(f"{kind} report is missing fields: {missing}")
 
-    ``extra`` entries (e.g. a CLI pass flag and the run parameters) are
-    merged at the top level; they may not collide with schema fields.
-    """
+
+def _kind_and_fields(report) -> tuple[str, dict]:
     kind = _KIND_BY_TYPE.get(type(report))
-    if kind is None:
-        raise SchemaError(f"unknown report type {type(report)!r}")
-    payload = {
-        "kind": kind,
-        "tool_version": TOOL_VERSION,
-        "input_digest": input_digest,
-    }
-    payload.update({k: _jsonable(v) for k, v in dataclasses.asdict(report).items()})
-    for key, value in (extra or {}).items():
+    if kind is not None:
+        return kind, dataclasses.asdict(report)
+    if isinstance(report, tuple) and len(report) == 2 and report[0] in RECORD_FIELDS:
+        kind, fields = report
+        _require(kind, fields)
+        return kind, fields
+    raise SchemaError(f"unknown report type {type(report)!r}")
+
+
+def _is_strict(value) -> bool:
+    try:
+        json.dumps(value, allow_nan=False)
+    except ValueError:
+        return False
+    return True
+
+
+def write_report_json(report, path, input_digest: str = "", extra: dict | None = None) -> None:
+    """Serialize a report deterministically as strict JSON.
+
+    ``report`` is an analysis dataclass or a record ``(kind, fields)`` of a
+    kind in :data:`RECORD_FIELDS`.  ``extra`` entries (e.g. a CLI pass flag
+    and the run parameters) are merged at the top level; no field may
+    collide with the envelope or another field.  A non-finite number raises
+    :class:`SchemaError` naming its field, and no file is written.
+    """
+    kind, fields = _kind_and_fields(report)
+    payload = {"kind": kind, "tool_version": TOOL_VERSION, "input_digest": input_digest}
+    for key, value in (*fields.items(), *(extra or {}).items()):
         if key in payload:
-            raise InvalidParameterError(f"extra field {key!r} collides with the schema")
+            raise InvalidParameterError(f"report field {key!r} collides with the schema")
         payload[key] = _jsonable(value)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        bad = sorted(key for key, value in payload.items() if not _is_strict(value))
+        raise SchemaError(f"{kind} report fields are not finite: {', '.join(bad)}") from None
+    Path(path).write_text(text + "\n")
 
 
 def _retuple(value):
@@ -141,27 +189,31 @@ def _retuple(value):
     return value
 
 
+def _refuse_constant(token: str):
+    raise SchemaError(f"not strict JSON: {token}")
+
+
 def read_report_json(path):
     """Load a report written by :func:`write_report_json`.
 
-    Returns the reconstructed report dataclass; unknown ``kind`` or missing
-    fields raise :class:`SchemaError`.
+    An analysis kind comes back as its dataclass, a record kind as the
+    report's JSON object (a dict).  Unknown ``kind``, missing fields or a
+    ``NaN``/``Infinity`` token raise :class:`SchemaError`.
     """
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or "kind" not in payload:
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if not isinstance(kind, str):
         raise SchemaError("report object must carry a 'kind' discriminator")
-    cls = _REPORT_KINDS.get(payload["kind"])
+    if kind not in _REQUIRED:
+        raise SchemaError(f"unknown report kind {kind!r}")
+    _require(kind, payload)
+    cls = _REPORT_KINDS.get(kind)
     if cls is None:
-        raise SchemaError(f"unknown report kind {payload['kind']!r}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {k: _retuple(v) for k, v in payload.items() if k in names}
-    missing = names - kwargs.keys()
-    if missing:
-        raise SchemaError(f"report is missing fields: {sorted(missing)}")
-    return cls(**kwargs)
+        return payload
+    return cls(**{name: _retuple(payload[name]) for name in _REQUIRED[kind]})
 
 
 # --------------------------------------------------------------------------

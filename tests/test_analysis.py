@@ -283,6 +283,12 @@ class TestSobolev:
         with pytest.raises(InvalidParameterError):
             analysis.smoothness_profile(f, [])
 
+    def test_profile_needs_three_samples(self):
+        # the coarsened copy of two samples would be a one-sample grid
+        f = SampledSignal(Grid(0.0, 1.0, 2), [0.0, 0.0])
+        with pytest.raises(GridTooNarrowError):
+            analysis.smoothness_profile(f, [0.0])
+
 
 class TestBedrosian:
     def test_bandlimited_window_above_band(self):
@@ -335,3 +341,10 @@ class TestPartition:
     def test_wavelet_spec_rejected(self, grid_16):
         with pytest.raises(InvalidParameterError):
             analysis.partition_deviation(make_spline_wavelet(2), 10, False, grid_16)
+
+    def test_shifts_past_the_grid_add_nothing(self):
+        # 9 samples one apart: shifts by 9 or more steps miss the grid entirely
+        g = Grid(-4.0, 1.0, 9)
+        wide = analysis.partition_deviation(make_bspline_scaling(1), 10, True, g)
+        edge = analysis.partition_deviation(make_bspline_scaling(1), 8, True, g)
+        np.testing.assert_array_equal(wide.values, edge.values)

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, files produced, pipelines."""
 
+import argparse
 import json
 import math
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hwl import cli
-from hwl.report_io import read_signal_csv
+from hwl.numerics import Grid, SampledSignal
+from hwl.report_io import read_signal_csv, write_signal_csv
 
 
 def run(args) -> int:
@@ -20,10 +22,10 @@ def run(args) -> int:
 
 
 def assert_refused(capsys, args, code: int) -> None:
-    """The CLI exits with ``code`` and one ``hwl:`` message, no traceback."""
+    """The CLI exits with ``code`` and prints exactly one ``hwl:`` line."""
     assert run(args) == code, args
     err = capsys.readouterr().err
-    assert err.startswith("hwl: ") and "Traceback" not in err, err
+    assert err.startswith("hwl: ") and err.count("\n") == 1, err
 
 
 @pytest.fixture(scope="module")
@@ -220,10 +222,42 @@ class TestAnalyze:
         assert_refused(capsys, ["analyze", "decay", "--in", small_signal, "--window", window,
                                 "--json", tmp_path / "d.json"], 2)
 
-    @pytest.mark.parametrize("gammas", ["a,b", "1,,2", "nan"])
+    # 1e300 is finite, but the Sobolev weight (1 + w^2)^gamma overflows
+    @pytest.mark.parametrize("gammas", ["a,b", "1,,2", "nan", "0,1e300"])
     def test_bad_gammas_is_usage_error(self, tmp_path, capsys, small_signal, gammas):
         assert_refused(capsys, ["analyze", "sobolev", "--in", small_signal, "--gammas", gammas,
                                 "--json", tmp_path / "s.json"], 2)
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--in", "SIGNAL", "--max-order", 2, "--tolerance", "nan"],
+        ["bedrosian", "--window", "sinc2", "--omega0", 3, "--grid", "-8:8:0.0625",
+         "--sigma", "inf"],
+        ["partition", "--wavelet", "bspline-scaling,1", "--k", 4, "--grid", "-8:8:0.0625",
+         "--central-halfwidth", "inf"],
+    ])
+    def test_non_finite_option_is_usage_error(self, tmp_path, capsys, small_signal, argv):
+        argv = [small_signal if a == "SIGNAL" else a for a in argv]
+        assert run(["analyze", *argv, "--json", tmp_path / "r.json"]) == 2
+        assert f"invalid finite_float value: '{argv[-1]}'" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        # the certificate's constant is sup|Hpsi|(...) / norm_sum = 0/0
+        ["certificate", "--psi", "ZERO", "--hpsi", "ZERO", "--order", 2],
+        # sigma ** 2 overflows a Python float
+        ["bedrosian", "--window", "gauss", "--omega0", 0, "--grid", "-8:8:0.0625",
+         "--sigma", "1.4e154"],
+        # a negative half-width selects no central sample
+        ["partition", "--wavelet", "bspline-scaling,1", "--k", 4, "--grid", "-8:8:0.0625",
+         "--central-halfwidth", -1],
+    ])
+    def test_out_of_range_run_is_usage_error(self, tmp_path, capsys, argv):
+        zero = tmp_path / "zero.csv"
+        write_signal_csv(SampledSignal(Grid(-4.0, 0.0625, 129), np.zeros(129)), zero)
+        argv = [zero if a == "ZERO" else a for a in argv]
+        assert_refused(capsys, ["analyze", *argv, "--json", tmp_path / "r.json"], 2)
+        assert not (tmp_path / "r.json").exists()
 
     def test_signals_on_different_grids_are_data_error(self, tmp_path, capsys):
         narrow, wide = tmp_path / "narrow.csv", tmp_path / "wide.csv"
@@ -294,3 +328,108 @@ def test_parse_points_exit_cleanly(small_signal, wavelet, grid, window, gammas):
                 "--json", out / "decay.json"]) in (0, 2, 3)
     assert run(["analyze", "sobolev", "--in", small_signal, "--gammas", gammas,
                 "--json", out / "sobolev.json"]) in (0, 2, 3)
+
+
+def _leaf_parsers(parser, words=()):
+    """(command words, parser) for every runnable subcommand of ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, words + (name,))
+            return
+    yield words, parser
+
+
+_LEAVES = tuple(_leaf_parsers(cli._build_parser()))
+_INPUT_FLAGS = ("--in", "--hilbert", "--psi", "--hpsi")
+_OUTPUT_FLAGS = ("--out", "--json", "--out-csv")
+
+
+def _mostly(sane, junk=_FIELD):
+    """Three draws in four from ``sane``, one from ``junk``: junk in every
+    flag would stop nearly every run at the first option parsed."""
+    return st.integers(0, 3).flatmap(lambda k: sane if k else junk)
+
+
+_TEXT_OPTIONS = {
+    "--grid": _mostly(st.sampled_from(["-8:8:0.0625", "-16:16:0.125", "-4:4:1"]), _joined(":")),
+    "--window": _mostly(st.sampled_from(["2:8", "4:12", "1:3"]), _joined(":")),
+    "--gammas": _mostly(st.sampled_from(["0,1,2", "0,0.75,1.5,3.25"]), _joined(",")),
+    "--wavelet": _mostly(st.sampled_from(["spline-wavelet,3", "bspline-scaling,1", "haar-scaling",
+                                          "box,0,1", "gauss-cos,1,3", "sinc2-cos,3"]), _WAVELET),
+}
+# integer options stay small (or fail to parse): a large --pad or --k is a
+# legitimately large run, not a refusal
+_INT = _mostly(st.integers(-2, 12).map(str),
+               _FIELD.filter(lambda s: not s.strip().lstrip("+-").isdigit()))
+_FLOAT = _mostly(st.floats(0.0, 20.0).map(repr))
+# CSV bytes: anything, rows of option-like fields, or a uniform grid whose
+# values are moderate or reach the extremes of binary64
+_CSV = st.one_of(
+    st.binary(max_size=48),
+    st.lists(st.tuples(_FIELD, _FIELD), max_size=6).map(
+        lambda rows: "x,value\n" + "".join(f"{a},{b}\n" for a, b in rows)).map(str.encode),
+    st.builds(
+        lambda x0, step, values: ("x,value\n" + "".join(
+            f"{x0 + i * step!r},{v!r}\n" for i, v in enumerate(values))).encode(),
+        st.floats(-20, 20), st.floats(0.01, 1.0),
+        st.one_of(st.lists(st.floats(-10, 10), min_size=2, max_size=48),
+                  st.lists(st.floats(), min_size=2, max_size=48)),
+    ),
+)
+
+
+def _option_value(action, inputs, outputs):
+    flag = action.option_strings[0]
+    if flag in _INPUT_FLAGS:
+        return st.sampled_from(inputs)
+    if flag in _OUTPUT_FLAGS:
+        return st.just(outputs[flag])
+    if action.choices is not None:
+        return _mostly(st.sampled_from([str(c) for c in action.choices]))
+    if flag in _TEXT_OPTIONS:
+        return _TEXT_OPTIONS[flag]
+    return _INT if action.type is int else _FLOAT
+
+
+def _refuse_constant(token):
+    raise ValueError(f"report is not strict JSON: {token}")
+
+
+@pytest.fixture(scope="module")
+def small_transform(small_signal):
+    path = small_signal.parent / "hw3.csv"
+    assert run(["hilbert", "--method", "spectral", "--in", small_signal, "--out", path]) == 0
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv=_CSV, data=st.data())
+def test_argv_and_csv_exit_cleanly(small_signal, small_transform, csv, data):
+    """Any subcommand with any subset of its flags, fed any CSV bytes, exits
+    0, 2 or 3, and every report an ``analyze`` exit 0 leaves is strict JSON."""
+    work = small_signal.parent / "fuzz"
+    work.mkdir(exist_ok=True)
+    fuzzed = work / "fuzzed.csv"
+    fuzzed.write_bytes(csv)
+    inputs = (fuzzed, small_signal, small_transform, work / "missing.csv")
+    outputs = {flag: work / f"out{flag}" for flag in _OUTPUT_FLAGS}
+    for path in outputs.values():
+        path.unlink(missing_ok=True)
+    words, parser = data.draw(st.sampled_from(_LEAVES))
+    argv = list(words)
+    for action in data.draw(st.permutations(parser._actions)):
+        if not action.option_strings or action.option_strings[0] == "-h":
+            continue
+        # required flags are mostly given, so most runs get past argparse
+        if not data.draw(st.integers(0, 9).map(bool) if action.required else st.booleans()):
+            continue
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            argv.append(str(data.draw(_option_value(action, inputs, outputs))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "MAX_GRID_COUNT", 4097)
+        code = run(argv)
+    assert code in (0, 2, 3), argv
+    if code == 0 and words[0] == "analyze":
+        json.loads(outputs["--json"].read_text(), parse_constant=_refuse_constant)

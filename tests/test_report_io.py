@@ -1,6 +1,7 @@
 """CSV round trips, JSON report schema, SVG figure rendering."""
 
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -78,6 +79,12 @@ class TestSignalCsv:
             read_signal_csv(p)
         assert err.value.row == 3
 
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        p = tmp_path / "binary.csv"
+        p.write_bytes(b"x,value\n0.0,1.0\n\xff,2.0\n")
+        with pytest.raises(ParseError, match="not text"):
+            read_signal_csv(p)
+
     def test_garbage_row_number(self, tmp_path):
         p = tmp_path / "garbled.csv"
         p.write_text("x,value\n0.0,1.0\n1.0,two\n")
@@ -119,17 +126,32 @@ def sample_reports(grid):
     }
 
 
+# the record kinds of CLI runs, as ``(kind, fields)``
+SAMPLE_RECORDS = {
+    "hilbert_run": {"method": "spectral", "pad_factor": 16},
+    "bedrosian_residual": {"residual": 1.5e-7},
+    "tail_limit": {"probe_value": 0.3167, "predicted": 1 / math.pi},
+    "partition_deviation": {"max_abs_central": 2.2e-16, "min_abs_central": 0.0},
+}
+
+
 class TestReportJson:
     def test_round_trip_all_kinds(self, tmp_path, grid_16):
-        for kind, report in sample_reports(grid_16).items():
+        reports = {**sample_reports(grid_16),
+                   **{kind: (kind, fields) for kind, fields in SAMPLE_RECORDS.items()}}
+        assert len(reports) == 8
+        for kind, report in reports.items():
             p = tmp_path / f"{kind}.json"
-            write_report_json(report, p, input_digest="abc123")
+            write_report_json(report, p, input_digest="abc123", extra={"pass": True})
             payload = json.loads(p.read_text())
             assert payload["kind"] == kind
             assert payload["tool_version"].startswith("hwl ")
             assert payload["input_digest"] == "abc123"
             back = read_report_json(p)
-            assert back == report
+            if kind in SAMPLE_RECORDS:
+                assert back == {**payload, **SAMPLE_RECORDS[kind], "pass": True}
+            else:
+                assert back == report
 
     def test_deterministic_bytes(self, tmp_path, grid_16):
         report = sample_reports(grid_16)["decay_fit"]
@@ -157,11 +179,39 @@ class TestReportJson:
         p.write_text(json.dumps({"kind": "decay_fit", "exponent": 2.0}))
         with pytest.raises(SchemaError, match="missing"):
             read_report_json(p)
+        p.write_text(json.dumps({"kind": "tail_limit", "probe_value": 0.3}))
+        with pytest.raises(SchemaError, match="missing fields: \\['predicted'\\]"):
+            read_report_json(p)
+        with pytest.raises(SchemaError, match="missing"):
+            write_report_json(("tail_limit", {"probe_value": 0.3}), tmp_path / "w.json")
+        assert not (tmp_path / "w.json").exists()
+
+    def test_non_finite_field_refused(self, tmp_path, grid_16):
+        zero = SampledSignal(grid_16, np.zeros(grid_16.count))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cert = analysis.theorem_certificate(zero, hilbert_spectral(zero), 2)
+        assert math.isnan(cert.empirical_constant)
+        p = tmp_path / "cert.json"
+        with pytest.raises(SchemaError, match="empirical_constant,"):
+            write_report_json(cert, p)
+        with pytest.raises(SchemaError, match="not finite: parameters$"):
+            write_report_json(("bedrosian_residual", {"residual": 0.0}), p,
+                              extra={"parameters": {"gammas": [0.0, math.inf]}})
+        assert not p.exists()
+
+    def test_reader_refuses_non_standard_tokens(self, tmp_path):
+        p = tmp_path / "nan.json"
+        p.write_text('{"kind": "bedrosian_residual", "residual": NaN}')
+        with pytest.raises(SchemaError, match="strict JSON: NaN"):
+            read_report_json(p)
 
     def test_extra_fields_cannot_shadow_schema(self, tmp_path, grid_16):
         report = sample_reports(grid_16)["decay_fit"]
         with pytest.raises(InvalidParameterError):
             write_report_json(report, tmp_path / "x.json", extra={"exponent": 0.0})
+        with pytest.raises(InvalidParameterError):
+            write_report_json(("tail_limit", {"probe_value": 0.3, "predicted": 0.3,
+                                              "input_digest": "x"}), tmp_path / "x.json")
 
 
 class TestFigures:
