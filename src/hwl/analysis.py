@@ -300,14 +300,21 @@ def tail_limit(f: SampledSignal, hf: SampledSignal, x_probe: float) -> tuple[flo
     return probe_value, predicted
 
 
+def _sobolev_norms(f: SampledSignal, gammas) -> list[float]:
+    """:func:`sobolev_norm` of ``f`` for every gamma, from one spectrum."""
+    s = dft(f)
+    dw = 2.0 * np.pi / (f.grid.count * f.grid.step)
+    weight_base = 1.0 + s.frequencies ** 2
+    power = np.abs(s.values) ** 2
+    return [float(np.sqrt(np.sum(weight_base ** g * power) * dw / (2.0 * np.pi)))
+            for g in gammas]
+
+
 def sobolev_norm(f: SampledSignal, gamma: float) -> float:
     """Spectral Sobolev norm: (sum (1+w^2)^gamma |f^(w)|^2 dw/2pi)^(1/2)."""
     if gamma < 0:
         raise InvalidParameterError(f"gamma must be >= 0, got {gamma}")
-    s = dft(f)
-    dw = 2.0 * np.pi / (f.grid.count * f.grid.step)
-    weighted = (1.0 + s.frequencies ** 2) ** gamma * np.abs(s.values) ** 2
-    return float(np.sqrt(np.sum(weighted) * dw / (2.0 * np.pi)))
+    return _sobolev_norms(f, [gamma])[0]
 
 
 def _coarsen(f: SampledSignal) -> SampledSignal:
@@ -331,8 +338,8 @@ def smoothness_profile(f: SampledSignal, gamma_grid) -> SobolevEstimate:
     if f.grid.count < 3:
         raise GridTooNarrowError("the 2x-coarsening probe needs at least 3 samples")
     coarse = _coarsen(f)
-    norms = [sobolev_norm(f, g) for g in gammas]
-    norms_c = [sobolev_norm(coarse, g) for g in gammas]
+    norms = _sobolev_norms(f, gammas)
+    norms_c = _sobolev_norms(coarse, gammas)
     stable = [abs(nf - nc) < 0.10 * nf if nf > 0 else True
               for nf, nc in zip(norms, norms_c)]
     # the largest certified n; a signal with no stable gamma above 1/2

@@ -11,9 +11,11 @@ analyze  decay | moments | sobolev | bedrosian | certificate | tail-limit |
 figure   render one of the three standard figures as SVG
 
 Grids are given as ``min:max:step`` with count = floor((max-min)/step) + 1;
-exit codes: 0 success, 2 usage error (including a non-finite option value
-and arithmetic that overflows or turns invalid), 3 data error (unreadable or
-inconsistent input files, such as two signals on different grids).
+exit codes: 0 success, 2 usage error (including a non-finite option value,
+a ``--pad`` asking for more than 16 * MAX_GRID_COUNT FFT points, and
+arithmetic that overflows or turns invalid), 3 data error (unreadable or
+inconsistent input files, such as two signals on different grids).  Every
+refusal, argparse's included, is one ``hwl:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -183,8 +185,13 @@ def cmd_hilbert(args) -> int:
         }
     else:
         cfg = SpectralConfig(pad_factor=args.pad)
+        # the default pad already reaches this length at the largest grid
+        if cfg.pad_factor * f.grid.count > 16 * MAX_GRID_COUNT:
+            raise UsageError(f"--pad {args.pad} on {f.grid.count} samples asks for more "
+                             f"than {16 * MAX_GRID_COUNT} FFT points (the cap)")
         out = hilbert_spectral(f, cfg)
-        meta = {"method": "spectral", "pad_factor": cfg.pad_factor}
+        meta = {"method": "spectral", "pad_factor": cfg.pad_factor,
+                "fft_length": cfg.fft_length(f.grid.count)}
     write_signal_csv(out, args.out)
     write_report_json(("hilbert_run", meta), str(args.out) + ".meta.json", input_digest=digest)
     return 0
@@ -348,8 +355,17 @@ def cmd_figure(args) -> int:
 # parser wiring
 # --------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments with a :class:`UsageError`, so ``main`` reports
+    them like every other refusal: one ``hwl:`` line and exit 2."""
+
+    def error(self, message):
+        command = self.prog.partition(" ")[2]
+        raise UsageError(f"{command}: {message}" if command else message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hwl",
         description="Hilbert transforms of wavelets: generators, dual engines, certification",
     )
@@ -475,8 +491,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_absorb_dash_values(list(argv)))
     try:
+        args = parser.parse_args(_absorb_dash_values(list(argv)))
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except ArithmeticError as exc:  # NumPy's FloatingPointError, Python's OverflowError

@@ -62,15 +62,37 @@ class PvConfig:
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """Zero-padding factor for the spectral engine; total FFT length is
-    pad_factor * count.  Padding pushes the periodic images of the slowly
-    decaying kernel away from the observation window."""
+    """Zero-padding factor for the spectral engine.  Padding pushes the
+    periodic images of the slowly decaying kernel away from the observation
+    window.  The FFT length is :meth:`fft_length`: exactly ``count`` at
+    pad_factor 1, otherwise the least 5-smooth length >= pad_factor * count."""
 
     pad_factor: int = 16
 
     def __post_init__(self):
         if int(self.pad_factor) < 1:
             raise InvalidParameterError(f"pad_factor must be >= 1, got {self.pad_factor}")
+
+    def fft_length(self, count: int) -> int:
+        """FFT length used for a signal of ``count`` samples.  Pad factor 1
+        keeps the signal's own bins; any larger padding is rounded up to a
+        length with no prime factor above 5, which FFTs handle fastest."""
+        pad = int(self.pad_factor)
+        return count if pad == 1 else _smooth_length(pad * count)
+
+
+def _smooth_length(m: int) -> int:
+    """Least 5-smooth integer (of the form 2^a 3^b 5^c) that is >= m."""
+    best = 1 << max(0, m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that lifts p35 to at least m
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def hilbert_pv(f: SampledSignal, cfg: PvConfig | None = None) -> SampledSignal:
@@ -97,32 +119,28 @@ def hilbert_spectral(f: SampledSignal, cfg: SpectralConfig | None = None) -> Sam
     """Spectral multiplier transform: -j*sign(w) on the zero-padded DFT.
 
     The signal is zero-padded (as symmetrically as the lengths allow) to
-    pad_factor * count, transformed, multiplied bin-wise by -j*sign(w_k)
-    with the DC bin forced to 0 and, for even lengths, the sign-ambiguous
-    Nyquist bin forced to 0, inverse-transformed, and cropped back to the
-    input grid.  The result is real to rounding; an imaginary residue above
-    1e-10 (relative) raises.
+    ``cfg.fft_length(count)`` points -- exactly ``count`` at pad factor 1,
+    else the least 5-smooth length >= pad_factor * count -- and transformed
+    with a real FFT.  Every positive-frequency bin is multiplied by -j, the
+    DC bin and, for even lengths, the sign-ambiguous Nyquist bin are set to
+    0, and the inverse real FFT is cropped back to the input grid.  The
+    output is real by construction.
     """
     cfg = cfg or SpectralConfig()
     n = f.grid.count
-    total = int(cfg.pad_factor) * n
+    total = cfg.fft_length(n)
     left = (total - n) // 2
     buf = np.zeros(total)
     buf[left:left + n] = f.values
-    spec = np.fft.fft(buf)
-    w = np.fft.fftfreq(total)
-    mult = -1j * np.sign(w)
+    spec = np.fft.rfft(buf)
+    spec *= -1j
+    # irfft would drop these two bins' imaginary values anyway; zeroing them
+    # keeps the multiplier as stated
+    spec[0] = 0.0
     if total % 2 == 0:
-        mult[total // 2] = 0.0
-    out = np.fft.ifft(spec * mult)
-    scale = max(float(np.max(np.abs(out.real))), np.finfo(float).tiny)
-    residue = float(np.max(np.abs(out.imag)))
-    if residue > 1e-10 * scale:
-        raise RuntimeError(
-            f"spectral transform lost realness: imaginary residue {residue:.3e} "
-            f"vs scale {scale:.3e}"
-        )
-    return SampledSignal(f.grid, out.real[left:left + n])
+        spec[-1] = 0.0
+    out = np.fft.irfft(spec, total)
+    return SampledSignal(f.grid, out[left:left + n])
 
 
 def hilbert_box_closed_form(p: PiecewiseConstant, x) -> float | np.ndarray:

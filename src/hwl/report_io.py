@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,40 @@ def write_signal_csv(f: SampledSignal, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _parse_rows(body: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissas and values of the data rows, row by row; the first bad row
+    raises ParseError with its 1-based line number among non-blank lines."""
+    xs, vs = [], []
+    for row, line in enumerate(body, start=2):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"expected 2 fields, got {len(parts)}", row=row)
+        try:
+            x, v = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ParseError(f"unparseable number in {line!r}", row=row) from None
+        if not (np.isfinite(x) and np.isfinite(v)):
+            raise ParseError("non-finite value", row=row)
+        xs.append(x)
+        vs.append(v)
+    return np.asarray(xs), np.asarray(vs)
+
+
+def _parse_rows_fast(body: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The same parse in one pass over all fields (Python ``float`` on each),
+    or None when some row is malformed; :func:`_parse_rows` then finds it."""
+    if set(map(str.count, body, repeat(","))) != {1}:
+        return None
+    try:
+        fields = np.fromiter(map(float, ",".join(body).split(",")), dtype=np.float64,
+                             count=2 * len(body))
+    except ValueError:
+        return None
+    if not np.isfinite(fields).all():
+        return None
+    return fields[0::2], fields[1::2]
+
+
 def read_signal_csv(path) -> SampledSignal:
     """Parse a signal CSV; malformed content raises ParseError with the row."""
     try:
@@ -94,20 +129,7 @@ def read_signal_csv(path) -> SampledSignal:
         raise ParseError(f"expected header {CSV_HEADER!r}, got {lines[0]!r}", row=1)
     if len(lines) < 3:
         raise ParseError("need at least 2 samples")
-    xs, vs = [], []
-    for row, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 fields, got {len(parts)}", row=row)
-        try:
-            x, v = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ParseError(f"unparseable number in {line!r}", row=row) from None
-        if not (np.isfinite(x) and np.isfinite(v)):
-            raise ParseError("non-finite value", row=row)
-        xs.append(x)
-        vs.append(v)
-    x_arr = np.asarray(xs)
+    x_arr, vs = _parse_rows_fast(lines[1:]) or _parse_rows(lines[1:])
     step = (x_arr[-1] - x_arr[0]) / (len(x_arr) - 1)
     if step <= 0:
         raise ParseError("abscissas are not increasing")
@@ -118,7 +140,7 @@ def read_signal_csv(path) -> SampledSignal:
             f"non-uniform grid: spacing deviates by {deviation[worst]:.3e} from {step}",
             row=worst + 3,  # header + 1-based + diff offset
         )
-    return SampledSignal(Grid(float(x_arr[0]), float(step), len(x_arr)), np.asarray(vs))
+    return SampledSignal(Grid(float(x_arr[0]), float(step), len(x_arr)), vs)
 
 
 def _jsonable(value):

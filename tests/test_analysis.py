@@ -267,6 +267,17 @@ class TestSobolev:
         assert est.stable[GAMMA_GRID.index(3.25)]
         assert not est.stable[GAMMA_GRID.index(4.0)]
 
+    def test_profile_is_sobolev_norm_per_gamma(self, grid_16, monkeypatch):
+        # one spectrum per resolution, and the same arithmetic: bit-identical
+        f = sample(make_spline_wavelet(3), grid_16)
+        coarse = analysis._coarsen(f)
+        calls = []
+        monkeypatch.setattr(analysis, "dft", lambda g: calls.append(g) or dft(g))
+        est = analysis.smoothness_profile(f, GAMMA_GRID)
+        assert len(calls) == 2
+        assert list(est.norms) == [analysis.sobolev_norm(f, g) for g in GAMMA_GRID]
+        assert list(est.norms_coarse) == [analysis.sobolev_norm(coarse, g) for g in GAMMA_GRID]
+
     def test_profile_transform_matches(self, grid_16):
         f = sample(make_spline_wavelet(3), grid_16)
         hf = hilbert_spectral(f, SpectralConfig(pad_factor=1))

@@ -21,11 +21,13 @@ def run(args) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
 
-def assert_refused(capsys, args, code: int) -> None:
-    """The CLI exits with ``code`` and prints exactly one ``hwl:`` line."""
+def assert_refused(capsys, args, code: int) -> str:
+    """The CLI exits with ``code`` and prints exactly one ``hwl:`` line,
+    which is returned."""
     assert run(args) == code, args
     err = capsys.readouterr().err
     assert err.startswith("hwl: ") and err.count("\n") == 1, err
+    return err
 
 
 @pytest.fixture(scope="module")
@@ -118,9 +120,27 @@ class TestHilbert:
         assert abs(outs[1].value_at(48.0) - outs[16].value_at(48.0)) > 1e-3
         meta = json.loads((tmp_path / "h16.csv.meta.json").read_text())
         assert meta == {**meta, "method": "spectral", "pad_factor": 16}
+        # the FFT length actually used: 5-smooth and at least pad * count
+        length = meta["fft_length"]
+        assert length >= 16 * outs[16].grid.count
+        for p in (2, 3, 5):
+            while length % p == 0:
+                length //= p
+        assert length == 1
 
     def test_missing_input_flag_is_usage_error(self, tmp_path):
         assert run(["hilbert", "--method", "pv", "--out", tmp_path / "o.csv"]) == 2
+
+    # pad * count above 16 * MAX_GRID_COUNT: before the cap these raised
+    # MemoryError and NumPy's "Maximum allowed dimension exceeded"
+    @pytest.mark.parametrize("pad", ["1000000000000", "99999999999999999999"])
+    def test_huge_pad_is_usage_error(self, tmp_path, capsys, pad):
+        haar = tmp_path / "haar.csv"
+        assert run(["gen", "--wavelet", "haar-wavelet", "--grid", "-2:2:0.25",
+                    "--out", haar]) == 0
+        assert_refused(capsys, ["hilbert", "--method", "spectral", "--pad", pad,
+                                "--in", haar, "--out", tmp_path / "o.csv"], 2)
+        assert not (tmp_path / "o.csv").exists()
 
     def test_unreadable_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -238,8 +258,8 @@ class TestAnalyze:
     ])
     def test_non_finite_option_is_usage_error(self, tmp_path, capsys, small_signal, argv):
         argv = [small_signal if a == "SIGNAL" else a for a in argv]
-        assert run(["analyze", *argv, "--json", tmp_path / "r.json"]) == 2
-        assert f"invalid finite_float value: '{argv[-1]}'" in capsys.readouterr().err
+        err = assert_refused(capsys, ["analyze", *argv, "--json", tmp_path / "r.json"], 2)
+        assert f"invalid finite_float value: '{argv[-1]}'" in err
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("argv", [

@@ -11,6 +11,7 @@ from hwl.hilbert import (
     PV_BACKEND,
     PvConfig,
     SpectralConfig,
+    _smooth_length,
     hilbert_box_closed_form,
     hilbert_pv,
     hilbert_spectral,
@@ -167,6 +168,52 @@ class TestSpectral:
         h1 = hilbert_spectral(phi, SpectralConfig(pad_factor=1))
         h16 = hilbert_spectral(phi, SpectralConfig(pad_factor=16))
         assert abs(h1.value_at(48.0) - h16.value_at(48.0)) > 1e-3
+
+    def test_smooth_length_is_least_5_smooth(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        def least_smooth_from(m):
+            while not smooth(m):
+                m += 1
+            return m
+
+        ms = range(1, 5001)
+        assert [_smooth_length(m) for m in ms] == [least_smooth_from(m) for m in ms]
+
+    @pytest.mark.parametrize("count", [2, 4096, 4097, 2 ** 18 + 1])
+    def test_fft_length(self, count):
+        assert SpectralConfig(pad_factor=1).fft_length(count) == count
+        assert SpectralConfig().fft_length(count) == _smooth_length(16 * count)
+
+    # the cubic wavelet on an odd grid, where 16*count is not 5-smooth; and
+    # noise with a nonzero mean, whose DC and Nyquist bins are far from 0, at
+    # counts where pad*count is itself the FFT length, odd (1875) or even
+    @pytest.mark.parametrize("signal,count,pad", [
+        ("cubic", 2 ** 12 + 1, 16), ("cubic", 2 ** 12 + 1, 1),
+        ("noise", 1875, 1), ("noise", 2000, 1), ("noise", 1875, 16),
+    ])
+    def test_matches_complex_fft_at_pad_times_count(self, signal, count, pad):
+        # reference: the multiplier -j*sign(w) through a complex FFT at
+        # exactly pad*count points
+        g = Grid(-32.0, 64.0 / (count - 1), count)
+        if signal == "cubic":
+            f = sample(make_spline_wavelet(3), g)
+        else:
+            f = SampledSignal(g, 0.5 + np.random.default_rng(0).normal(size=count))
+        total = pad * count
+        left = (total - count) // 2
+        buf = np.zeros(total)
+        buf[left:left + count] = f.values
+        mult = -1j * np.sign(np.fft.fftfreq(total))
+        if total % 2 == 0:
+            mult[total // 2] = 0.0
+        want = np.fft.ifft(np.fft.fft(buf) * mult).real[left:left + count]
+        got = hilbert_spectral(f, SpectralConfig(pad_factor=pad)).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_pad_factor_validation(self):
         with pytest.raises(ValueError):

@@ -6,11 +6,11 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hwl import analysis
+from hwl import analysis, report_io
 from hwl.errors import InvalidParameterError, ParseError, SchemaError
 from hwl.hilbert import hilbert_spectral
 from hwl.numerics import Grid, SampledSignal
@@ -26,6 +26,7 @@ from hwl.report_io import (
 from hwl.wavelets import make_bspline_scaling, make_spline_wavelet, sample
 
 from conftest import rng
+from test_cli import _CSV
 
 
 @pytest.fixture
@@ -113,6 +114,29 @@ class TestSignalCsv:
             p = Path(d) / "prop.csv"
             write_signal_csv(sig, p)
             np.testing.assert_array_equal(read_signal_csv(p).values, sig.values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv=_CSV)
+# three fields then one: as many fields as two good rows
+@example(csv=b"x,value\n0,1,2\n3\n")
+def test_fast_parse_matches_row_parser(tmp_path_factory, csv):
+    """The one-pass parse returns what the row-by-row parser returns, bit
+    for bit, or lets it raise the same error for the same row."""
+    path = tmp_path_factory.getbasetemp() / "fast_parse.csv"
+    path.write_bytes(csv)
+
+    def outcome():
+        try:
+            f = read_signal_csv(path)
+        except Exception as exc:  # noqa: BLE001 -- compared, not handled
+            return type(exc), getattr(exc, "row", None), str(exc)
+        return repr(f.grid), f.values.tobytes()
+
+    fast = outcome()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report_io, "_parse_rows_fast", lambda body: None)
+        assert outcome() == fast
 
 
 def sample_reports(grid):
