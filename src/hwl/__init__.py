@@ -39,8 +39,6 @@ from .wavelets import (  # noqa: E402
 )
 from .hilbert import (  # noqa: E402
     PV_BACKEND,
-    PvConfig,
-    SpectralConfig,
     hilbert_box_closed_form,
     hilbert_pv,
     hilbert_spectral,
@@ -84,8 +82,6 @@ __all__ = [
     "make_modulated_window",
     "evaluate",
     "sample",
-    "PvConfig",
-    "SpectralConfig",
     "PV_BACKEND",
     "hilbert_pv",
     "hilbert_spectral",

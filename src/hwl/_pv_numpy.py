@@ -22,4 +22,4 @@ def pv_sum(f: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         w = np.where(m == 0.0, 0.0, -1.0 / m)
     conv = np.convolve(g, w[::-1])
-    return conv[len(w) - n + np.arange(n)]
+    return conv[len(w) - n:len(w)]

@@ -22,10 +22,11 @@ from .errors import (
 # nothing here calls ``derivative``; it is imported because the benchmark's
 # tracer (hwlbench/trace.py) wraps it under this module's name
 from .numerics import (  # noqa: F401
-    Grid, SampledSignal, derivative, dft, integrate, l1_norm, mixed_norm, sup_norm,
+    Grid, SampledSignal, check_integer, derivative, dft, integrate, l1_norm, mixed_norm,
+    sup_norm,
 )
 from .wavelets import PiecewiseConstant, WaveletSpec, evaluate, make_modulated_window, sample
-from .hilbert import SpectralConfig, hilbert_spectral
+from .hilbert import hilbert_spectral
 
 __all__ = [
     "MomentReport",
@@ -123,8 +124,7 @@ def _weighted_signal(f: SampledSignal, power: int) -> SampledSignal:
 
 def moments(f: SampledSignal, k_max: int, tolerance: float | None = None) -> MomentReport:
     """Trapezoid moments of orders 0..k_max with truncation-aware tolerances."""
-    if k_max < 0:
-        raise InvalidParameterError(f"k_max must be >= 0, got {k_max}")
+    k_max = check_integer(k_max, "k_max", 0)
     x = f.x()
     edge_x = max(abs(x[0]), abs(x[-1]))
     edge_f = max(abs(f.values[0]), abs(f.values[-1]))
@@ -260,15 +260,14 @@ def theorem_certificate(psi: SampledSignal, hpsi: SampledSignal, n: int) -> Boun
     with n >= 1) blows it up roughly linearly.  ``psi`` and ``hpsi`` must
     share a grid (:class:`GridMismatchError` otherwise).
     """
-    if n < 0:
-        raise InvalidParameterError(f"n must be >= 0, got {n}")
+    n = check_integer(n, "n", 0)
     _require_same_grid(psi, hpsi, "psi and hpsi")
     bundle = _norm_bundle(psi, n)
     norm_sum = float(sum(bundle.values()))
     c1 = _empirical_constant(hpsi, n, norm_sum)
 
     psi2 = _zero_extend_double_span(psi)
-    hpsi2 = hilbert_spectral(psi2, SpectralConfig())
+    hpsi2 = hilbert_spectral(psi2)
     bundle2 = _norm_bundle(psi2, n)
     c2 = _empirical_constant(hpsi2, n, float(sum(bundle2.values())))
 
@@ -367,25 +366,16 @@ def bedrosian_residual(window_kind: str, omega0: float, grid: Grid,
     """
     spec = make_modulated_window(window_kind, omega0, phase=0.0, sigma=sigma)
     x = grid.abscissas()
-    if window_kind == "sinc2":
-        envelope_edge = max((np.sin(x[0]) / x[0]) ** 2 if x[0] != 0 else 1.0,
-                            (np.sin(x[-1]) / x[-1]) ** 2 if x[-1] != 0 else 1.0)
-    else:
-        envelope_edge = max(np.exp(-x[0] ** 2 / (2 * sigma ** 2)),
-                            np.exp(-x[-1] ** 2 / (2 * sigma ** 2)))
+    # the unmodulated window: cos(0*x + 0) is exactly 1
+    w = evaluate(make_modulated_window(window_kind, 0.0, sigma=sigma), x)
+    envelope_edge = max(w[0], w[-1])
     if envelope_edge >= 1e-4:
         raise GridTooNarrowError(
             f"window envelope is {envelope_edge:.2e} at the grid edge; "
             "widen the grid so truncation cannot masquerade as a residual"
         )
     modulated = sample(spec, grid)
-    transformed = hilbert_spectral(modulated, SpectralConfig())
-    if window_kind == "sinc2":
-        w = np.ones_like(x)
-        nz = x != 0
-        w[nz] = (np.sin(x[nz]) / x[nz]) ** 2
-    else:
-        w = np.exp(-(x * x) / (2.0 * sigma ** 2))
+    transformed = hilbert_spectral(modulated)
     target = w * np.sin(omega0 * x)
     center = 0.5 * (x[0] + x[-1])
     central = np.abs(x - center) <= 0.25 * grid.span
@@ -408,6 +398,7 @@ def partition_deviation(spec: WaveletSpec | PiecewiseConstant, k_range: int,
             )
     elif not isinstance(spec, PiecewiseConstant):
         raise InvalidParameterError("unsupported generator for a partition sum")
+    k_range = check_integer(k_range, "k_range", 0)
     x = grid.abscissas()
     total = np.zeros(grid.count)
     if not transformed:
@@ -421,7 +412,7 @@ def partition_deviation(spec: WaveletSpec | PiecewiseConstant, k_range: int,
             f"1/step = {shift} is not an integer"
         )
     shift = int(round(shift))
-    g = hilbert_spectral(sample(spec, grid), SpectralConfig()).values
+    g = hilbert_spectral(sample(spec, grid)).values
     for k in range(-k_range, k_range + 1):
         s = k * shift
         if abs(s) >= grid.count:

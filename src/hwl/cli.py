@@ -38,7 +38,7 @@ from .errors import (
 )
 from .numerics import Grid, SampledSignal
 from . import wavelets
-from .hilbert import PvConfig, SpectralConfig, hilbert_pv, hilbert_spectral
+from .hilbert import fft_length, hilbert_pv, hilbert_spectral
 from . import analysis
 from .report_io import (
     FigureSpec,
@@ -116,12 +116,6 @@ def parse_wavelet(text: str):
         if len(params) != k:
             raise UsageError(f"{name} takes {k} parameter(s), got {len(params)}")
 
-    def degree():
-        need(1)
-        if not params[0].is_integer():
-            raise UsageError(f"{name} degree must be an integer, got {params[0]}")
-        return int(params[0])
-
     try:
         if name == "haar-scaling":
             need(0)
@@ -130,9 +124,11 @@ def parse_wavelet(text: str):
             need(0)
             return wavelets.make_haar_wavelet()
         if name == "bspline-scaling":
-            return wavelets.make_bspline_scaling(degree())
+            need(1)
+            return wavelets.make_bspline_scaling(params[0])
         if name == "spline-wavelet":
-            return wavelets.make_spline_wavelet(degree())
+            need(1)
+            return wavelets.make_spline_wavelet(params[0])
         if name == "sinc2-cos":
             if len(params) not in (1, 2):
                 raise UsageError("sinc2-cos takes OMEGA0[,PHASE]")
@@ -177,21 +173,17 @@ def cmd_hilbert(args) -> int:
     f = read_signal_csv(getattr(args, "in"))
     digest = _digest(getattr(args, "in"))
     if args.method == "pv":
-        cfg = PvConfig(singularity_correction=not args.no_correction)
-        out = hilbert_pv(f, cfg)
-        meta = {
-            "method": "pv",
-            "singularity_correction": cfg.singularity_correction,
-        }
+        correction = not args.no_correction
+        out = hilbert_pv(f, singularity_correction=correction)
+        meta = {"method": "pv", "singularity_correction": correction}
     else:
-        cfg = SpectralConfig(pad_factor=args.pad)
         # the default pad already reaches this length at the largest grid
-        if cfg.pad_factor * f.grid.count > 16 * MAX_GRID_COUNT:
+        if args.pad * f.grid.count > 16 * MAX_GRID_COUNT:
             raise UsageError(f"--pad {args.pad} on {f.grid.count} samples asks for more "
                              f"than {16 * MAX_GRID_COUNT} FFT points (the cap)")
-        out = hilbert_spectral(f, cfg)
-        meta = {"method": "spectral", "pad_factor": cfg.pad_factor,
-                "fft_length": cfg.fft_length(f.grid.count)}
+        out = hilbert_spectral(f, pad_factor=args.pad)
+        meta = {"method": "spectral", "pad_factor": args.pad,
+                "fft_length": fft_length(f.grid.count, args.pad)}
     write_signal_csv(out, args.out)
     write_report_json(("hilbert_run", meta), str(args.out) + ".meta.json", input_digest=digest)
     return 0

@@ -19,8 +19,9 @@ strictly inside the central cell, where the integrand has the finite limit
 -2 f'(x).  The outer cells are summed by the composite trapezoid rule over
 the integrand samples g(j*h) = (f[i-j] - f[i+j]) / (j*h), giving weights
 1/j; the central contribution is the correction term -h*f'(x)/pi obtained
-from that limit.  Switching the correction off (PvConfig) drops the scheme
-from second to first order on smooth inputs.
+from that limit.  Switching the correction off
+(``hilbert_pv(f, singularity_correction=False)``) drops the scheme from
+second to first order on smooth inputs.
 
 The outer-cell sum is one NumPy direct convolution (``_pv_numpy.pv_sum``);
 ``PV_BACKEND`` names it in benchmark records.
@@ -28,57 +29,34 @@ The outer-cell sum is one NumPy direct convolution (``_pv_numpy.pv_sum``);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidParameterError, SingularPointError
-from .numerics import SampledSignal, derivative
+from .errors import SingularPointError
+from .numerics import SampledSignal, check_integer, derivative
 from .wavelets import PiecewiseConstant
 from . import _pv_numpy
 
 PV_BACKEND = "numpy"
 
 __all__ = [
-    "PvConfig",
-    "SpectralConfig",
     "PV_BACKEND",
+    "fft_length",
     "hilbert_pv",
     "hilbert_spectral",
     "hilbert_box_closed_form",
 ]
 
 
-@dataclass(frozen=True)
-class PvConfig:
-    """Knob for the PV engine.
+def fft_length(count: int, pad_factor: int = 16) -> int:
+    """FFT length the spectral engine uses for a signal of ``count`` samples.
 
-    ``singularity_correction`` toggles the central-cell term -h*f'(x)/pi
-    (on by default; required for second-order accuracy).
+    Pad factor 1 keeps the signal's own bins (exactly ``count``); any larger
+    padding is rounded up to the least length >= pad_factor * count with no
+    prime factor above 5, which FFTs handle fastest.  ``pad_factor`` must be
+    an integer >= 1 (:class:`InvalidParameterError` otherwise).
     """
-
-    singularity_correction: bool = True
-
-
-@dataclass(frozen=True)
-class SpectralConfig:
-    """Zero-padding factor for the spectral engine.  Padding pushes the
-    periodic images of the slowly decaying kernel away from the observation
-    window.  The FFT length is :meth:`fft_length`: exactly ``count`` at
-    pad_factor 1, otherwise the least 5-smooth length >= pad_factor * count."""
-
-    pad_factor: int = 16
-
-    def __post_init__(self):
-        if int(self.pad_factor) < 1:
-            raise InvalidParameterError(f"pad_factor must be >= 1, got {self.pad_factor}")
-
-    def fft_length(self, count: int) -> int:
-        """FFT length used for a signal of ``count`` samples.  Pad factor 1
-        keeps the signal's own bins; any larger padding is rounded up to a
-        length with no prime factor above 5, which FFTs handle fastest."""
-        pad = int(self.pad_factor)
-        return count if pad == 1 else _smooth_length(pad * count)
+    pad = check_integer(pad_factor, "pad_factor", 1)
+    return count if pad == 1 else _smooth_length(pad * count)
 
 
 def _smooth_length(m: int) -> int:
@@ -95,40 +73,40 @@ def _smooth_length(m: int) -> int:
     return best
 
 
-def hilbert_pv(f: SampledSignal, cfg: PvConfig | None = None) -> SampledSignal:
+def hilbert_pv(f: SampledSignal, *, singularity_correction: bool = True) -> SampledSignal:
     """Principal-value quadrature transform of a sampled signal.
 
-    Samples of f outside the grid are treated as zero, so inputs should be
-    compactly supported or decayed at the grid edges.  Discontinuous inputs
-    produce large-but-finite values near their jumps, mirroring the
-    transform's logarithmic blow-up there.  A jump sampled with its one-sided
-    value (the half-open convention of ``sample``) sits half a step off its
-    node in the trapezoid sum, which adds an error of order jump/(2*pi*k) at
-    k steps, dominant in a band of a few dozen steps around the jump.  With
-    the mean of the two one-sided levels at the jump's node that term is
-    gone, and what remains is of order jump/(12*pi*k^2).
+    ``singularity_correction`` adds the central-cell term -h*f'(x)/pi, which
+    second-order accuracy requires.  Samples of f outside the grid are
+    treated as zero, so inputs should be compactly supported or decayed at
+    the grid edges.  Discontinuous inputs produce large-but-finite values
+    near their jumps, mirroring the transform's logarithmic blow-up there.
+    A jump sampled with its one-sided value (the half-open convention of
+    ``sample``) sits half a step off its node in the trapezoid sum, which
+    adds an error of order jump/(2*pi*k) at k steps, dominant in a band of a
+    few dozen steps around the jump.  With the mean of the two one-sided
+    levels at the jump's node that term is gone, and what remains is of
+    order jump/(12*pi*k^2).
     """
-    cfg = cfg or PvConfig()
     s = _pv_numpy.pv_sum(f.values)
-    if cfg.singularity_correction:
+    if singularity_correction:
         s = s - f.grid.step * derivative(f).values
     return SampledSignal(f.grid, s / np.pi)
 
 
-def hilbert_spectral(f: SampledSignal, cfg: SpectralConfig | None = None) -> SampledSignal:
+def hilbert_spectral(f: SampledSignal, *, pad_factor: int = 16) -> SampledSignal:
     """Spectral multiplier transform: -j*sign(w) on the zero-padded DFT.
 
     The signal is zero-padded (as symmetrically as the lengths allow) to
-    ``cfg.fft_length(count)`` points -- exactly ``count`` at pad factor 1,
-    else the least 5-smooth length >= pad_factor * count -- and transformed
-    with a real FFT.  Every positive-frequency bin is multiplied by -j, the
-    DC bin and, for even lengths, the sign-ambiguous Nyquist bin are set to
-    0, and the inverse real FFT is cropped back to the input grid.  The
-    output is real by construction.
+    ``fft_length(count, pad_factor)`` points and transformed with a real
+    FFT.  Padding pushes the periodic images of the slowly decaying kernel
+    away from the observation window.  Every positive-frequency bin is
+    multiplied by -j, the DC bin and, for even lengths, the sign-ambiguous
+    Nyquist bin are set to 0, and the inverse real FFT is cropped back to
+    the input grid.  The output is real by construction.
     """
-    cfg = cfg or SpectralConfig()
     n = f.grid.count
-    total = cfg.fft_length(n)
+    total = fft_length(n, pad_factor)
     left = (total - n) // 2
     buf = np.zeros(total)
     buf[left:left + n] = f.values

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import InvalidParameterError
 
 __all__ = [
+    "check_integer",
     "Grid",
     "SampledSignal",
     "Spectrum",
@@ -28,6 +29,24 @@ __all__ = [
     "dft",
     "idft",
 ]
+
+
+def check_integer(value, name: str, minimum: int) -> int:
+    """``value`` as an ``int``, refused unless it is an integer >= ``minimum``.
+
+    Python and NumPy integers and integral floats are accepted; anything
+    else, a fraction included, raises :class:`InvalidParameterError` rather
+    than being truncated.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        result = int(value)
+    elif isinstance(value, (float, np.floating)) and float(value).is_integer():
+        result = int(value)
+    else:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if result < minimum:
+        raise InvalidParameterError(f"{name} must be >= {minimum}, got {result}")
+    return result
 
 
 @dataclass(frozen=True)
@@ -51,8 +70,7 @@ class Grid:
     def __post_init__(self):
         if not (self.step > 0):
             raise InvalidParameterError(f"grid step must be positive, got {self.step}")
-        if self.count < 2:
-            raise InvalidParameterError(f"grid needs at least 2 samples, got {self.count}")
+        object.__setattr__(self, "count", check_integer(self.count, "grid count", 2))
 
     @property
     def x_max(self) -> float:

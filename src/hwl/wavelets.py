@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .numerics import Grid, SampledSignal
+from .numerics import Grid, SampledSignal, check_integer
 
 __all__ = [
     "DEGREE_CAP",
@@ -113,9 +113,9 @@ def cardinal_bspline(order: int, t) -> np.ndarray:
 
 
 def _check_degree(degree: int) -> int:
-    degree = int(degree)
-    if degree < 0 or degree > DEGREE_CAP:
-        raise InvalidParameterError(f"degree must be in [0, {DEGREE_CAP}], got {degree}")
+    degree = check_integer(degree, "degree", 0)
+    if degree > DEGREE_CAP:
+        raise InvalidParameterError(f"degree must be <= {DEGREE_CAP}, got {degree}")
     return degree
 
 

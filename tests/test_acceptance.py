@@ -34,8 +34,6 @@ import numpy as np
 
 from hwl import analysis
 from hwl.hilbert import (
-    PvConfig,
-    SpectralConfig,
     hilbert_box_closed_form,
     hilbert_pv,
     hilbert_spectral,
@@ -98,8 +96,8 @@ def test_criterion_02_engine_cross_validation(grid_32):
     """The space-domain and frequency-domain engines agree on the cubic
     spline wavelet to relative sup distance < 1e-3 on the central half."""
     psi = sample(make_spline_wavelet(3), grid_32)
-    pv = hilbert_pv(psi, PvConfig()).values
-    sp = hilbert_spectral(psi, SpectralConfig(pad_factor=16)).values
+    pv = hilbert_pv(psi).values
+    sp = hilbert_spectral(psi, pad_factor=16).values
     central = np.abs(grid_32.abscissas()) <= 16.0
     rel = float(np.max(np.abs(pv - sp)[central]) / np.max(np.abs(sp[central])))
     check("2", rel < 1e-3, f"relative sup distance = {rel:.2e} (tolerance 1e-3)")
@@ -191,7 +189,7 @@ def test_criterion_07_sobolev_preservation(grid_16):
     relative; both signals certify smoothness order 2; gamma = 4.0 is
     grid-unstable."""
     psi = sample(make_spline_wavelet(3), grid_16)
-    hpsi = hilbert_spectral(psi, SpectralConfig(pad_factor=1))
+    hpsi = hilbert_spectral(psi, pad_factor=1)
     rels = []
     for gamma in (0.0, 1.0, 2.0, 3.0, 3.25):
         a = analysis.sobolev_norm(psi, gamma)
@@ -271,7 +269,7 @@ def test_criterion_11_unitarity():
     omega = 2 * np.pi * 64 / (n * STEP)
     x = g.abscissas()
     out = hilbert_spectral(SampledSignal(g, np.cos(omega * x)),
-                           SpectralConfig(pad_factor=1))
+                           pad_factor=1)
     sin_err = float(np.max(np.abs(out.values - np.sin(omega * x))))
 
     wide = make_grid(-32.0, 32.0)

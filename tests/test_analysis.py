@@ -10,7 +10,7 @@ from hwl import analysis
 from hwl.errors import (
     FitWindowError, GridMismatchError, GridTooNarrowError, InvalidParameterError,
 )
-from hwl.hilbert import SpectralConfig, hilbert_box_closed_form, hilbert_spectral
+from hwl.hilbert import hilbert_box_closed_form, hilbert_spectral
 from hwl.numerics import Grid, SampledSignal, dft, integrate, l2_norm
 from hwl.wavelets import (
     make_box,
@@ -73,6 +73,11 @@ class TestMoments:
         f = sample(make_haar_wavelet(), grid_8)
         with pytest.raises(InvalidParameterError):
             analysis.moments(f, -1)
+
+    def test_fractional_order_refused(self, grid_8):
+        f = sample(make_haar_wavelet(), grid_8)
+        with pytest.raises(InvalidParameterError, match="integer"):
+            analysis.moments(f, 2.5)
 
 
 class TestSpectralMomentEquivalence:
@@ -171,6 +176,11 @@ class TestCertificates:
         with pytest.raises(InvalidParameterError):
             analysis.theorem_certificate(phi, phi, -1)
 
+    def test_fractional_order_refused(self, grid_16):
+        phi = sample(make_bspline_scaling(3), grid_16)
+        with pytest.raises(InvalidParameterError, match="integer"):
+            analysis.theorem_certificate(phi, phi, 1.5)
+
 
 class TestTailLimit:
     def test_box_probe(self):
@@ -244,7 +254,7 @@ class TestSobolev:
     def test_transform_preserves_all_norms(self, grid_16):
         # same-grid spectral transform only flips phases bin by bin
         f = sample(make_spline_wavelet(3), grid_16)
-        hf = hilbert_spectral(f, SpectralConfig(pad_factor=1))
+        hf = hilbert_spectral(f, pad_factor=1)
         for gamma in (0.0, 1.0, 2.0, 3.0, 3.25):
             a = analysis.sobolev_norm(f, gamma)
             b = analysis.sobolev_norm(hf, gamma)
@@ -280,7 +290,7 @@ class TestSobolev:
 
     def test_profile_transform_matches(self, grid_16):
         f = sample(make_spline_wavelet(3), grid_16)
-        hf = hilbert_spectral(f, SpectralConfig(pad_factor=1))
+        hf = hilbert_spectral(f, pad_factor=1)
         assert analysis.smoothness_profile(hf, GAMMA_GRID).smoothness_order == 2
 
     def test_profile_haar(self, grid_16):
@@ -352,6 +362,13 @@ class TestPartition:
     def test_wavelet_spec_rejected(self, grid_16):
         with pytest.raises(InvalidParameterError):
             analysis.partition_deviation(make_spline_wavelet(2), 10, False, grid_16)
+
+    @pytest.mark.parametrize("k_range", [2.5, -1])
+    def test_bad_k_range_refused(self, grid_16, k_range):
+        for transformed in (False, True):
+            with pytest.raises(InvalidParameterError, match="k_range"):
+                analysis.partition_deviation(make_bspline_scaling(1), k_range,
+                                             transformed, grid_16)
 
     def test_shifts_past_the_grid_add_nothing(self):
         # 9 samples one apart: shifts by 9 or more steps miss the grid entirely

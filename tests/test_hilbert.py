@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from hwl import _pv_numpy
-from hwl.errors import SingularPointError
+from hwl.errors import InvalidParameterError, SingularPointError
 from hwl.hilbert import (
     PV_BACKEND,
-    PvConfig,
-    SpectralConfig,
     _smooth_length,
+    fft_length,
     hilbert_box_closed_form,
     hilbert_pv,
     hilbert_spectral,
@@ -110,9 +109,9 @@ class TestPv:
         # without the central-cell term the scheme is first order and visibly
         # worse on a smooth input
         psi = sample(make_spline_wavelet(3), grid_32)
-        ref = hilbert_spectral(psi, SpectralConfig(pad_factor=16)).values
-        on = hilbert_pv(psi, PvConfig(singularity_correction=True)).values
-        off = hilbert_pv(psi, PvConfig(singularity_correction=False)).values
+        ref = hilbert_spectral(psi, pad_factor=16).values
+        on = hilbert_pv(psi, singularity_correction=True).values
+        off = hilbert_pv(psi, singularity_correction=False).values
         scale = np.max(np.abs(ref))
         central = np.abs(grid_32.abscissas()) <= 16.0
         err_on = np.max(np.abs(on - ref)[central]) / scale
@@ -129,7 +128,7 @@ class TestSpectral:
         omega = 2 * np.pi * k / (n * STEP)
         x = g.abscissas()
         out = hilbert_spectral(SampledSignal(g, np.cos(omega * x)),
-                               SpectralConfig(pad_factor=1))
+                               pad_factor=1)
         assert np.max(np.abs(out.values - np.sin(omega * x))) < 1e-10
 
     def test_sine_to_minus_cosine(self):
@@ -138,7 +137,7 @@ class TestSpectral:
         omega = 2 * np.pi * 64 / (n * STEP)
         x = g.abscissas()
         out = hilbert_spectral(SampledSignal(g, np.sin(omega * x)),
-                               SpectralConfig(pad_factor=1))
+                               pad_factor=1)
         assert np.max(np.abs(out.values + np.cos(omega * x))) < 1e-10
 
     def test_energy_preserved_for_zero_mean(self):
@@ -165,8 +164,8 @@ class TestSpectral:
         # with no padding the slowly decaying kernel wraps around and
         # measurably pollutes the tail
         phi = sample(make_bspline_scaling(3), grid_64)
-        h1 = hilbert_spectral(phi, SpectralConfig(pad_factor=1))
-        h16 = hilbert_spectral(phi, SpectralConfig(pad_factor=16))
+        h1 = hilbert_spectral(phi, pad_factor=1)
+        h16 = hilbert_spectral(phi, pad_factor=16)
         assert abs(h1.value_at(48.0) - h16.value_at(48.0)) > 1e-3
 
     def test_smooth_length_is_least_5_smooth(self):
@@ -186,8 +185,8 @@ class TestSpectral:
 
     @pytest.mark.parametrize("count", [2, 4096, 4097, 2 ** 18 + 1])
     def test_fft_length(self, count):
-        assert SpectralConfig(pad_factor=1).fft_length(count) == count
-        assert SpectralConfig().fft_length(count) == _smooth_length(16 * count)
+        assert fft_length(count, 1) == count
+        assert fft_length(count) == _smooth_length(16 * count)
 
     # the cubic wavelet on an odd grid, where 16*count is not 5-smooth; and
     # noise with a nonzero mean, whose DC and Nyquist bins are far from 0, at
@@ -212,12 +211,17 @@ class TestSpectral:
         if total % 2 == 0:
             mult[total // 2] = 0.0
         want = np.fft.ifft(np.fft.fft(buf) * mult).real[left:left + count]
-        got = hilbert_spectral(f, SpectralConfig(pad_factor=pad)).values
+        got = hilbert_spectral(f, pad_factor=pad).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_pad_factor_validation(self):
-        with pytest.raises(ValueError):
-            SpectralConfig(pad_factor=0)
+        # a fractional pad is refused, not truncated (1.9 would run at pad 1)
+        f = SampledSignal(Grid(0.0, 1.0, 8), np.arange(8.0))
+        for pad in (0, -3, 1.9, 2.7):
+            with pytest.raises(InvalidParameterError):
+                fft_length(4097, pad)
+            with pytest.raises(InvalidParameterError):
+                hilbert_spectral(f, pad_factor=pad)
 
 
 class TestMethodAgreement:
@@ -238,7 +242,7 @@ class TestMethodAgreement:
     def test_pv_vs_spectral(self, name, spec, grid_32):
         f = sample(spec, grid_32)
         pv = hilbert_pv(f).values
-        sp = hilbert_spectral(f, SpectralConfig(pad_factor=16)).values
+        sp = hilbert_spectral(f, pad_factor=16).values
         central = np.abs(grid_32.abscissas()) <= 16.0
         rel = np.max(np.abs(pv - sp)[central]) / np.max(np.abs(sp))
         assert rel < 1e-3, f"{name}: {rel:.2e}"

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hwl.errors import InvalidParameterError
 from hwl.numerics import (
     Grid,
     SampledSignal,
     Spectrum,
+    check_integer,
     dft,
     derivative,
     idft,
@@ -38,10 +40,33 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 1)
 
+    def test_fractional_count_refused(self):
+        # refused here, not later by ``sample`` with a bare ValueError
+        with pytest.raises(InvalidParameterError, match="integer"):
+            Grid(0.0, 1.0, 2.5)
+        assert type(Grid(0.0, 1.0, np.int64(3)).count) is int
+
     def test_index_of_outside(self):
         g = Grid(0.0, 1.0, 4)
         with pytest.raises(ValueError):
             g.index_of(10.0)
+
+
+class TestCheckInteger:
+    @pytest.mark.parametrize("value", [3, np.int64(3), 3.0, np.float32(3.0)])
+    def test_integral_values_accepted(self, value):
+        got = check_integer(value, "k", 0)
+        assert got == 3 and type(got) is int
+
+    @pytest.mark.parametrize("value", [2.5, 1.9, float("nan"), float("inf"), "3", None, True])
+    def test_other_values_refused(self, value):
+        with pytest.raises(InvalidParameterError, match="k must be an integer"):
+            check_integer(value, "k", 0)
+
+    def test_minimum(self):
+        assert check_integer(-2, "k", -2) == -2
+        with pytest.raises(InvalidParameterError, match="k must be >= 1"):
+            check_integer(0.0, "k", 1)
 
 
 class TestSampledSignal:

@@ -76,6 +76,13 @@ class TestBsplineScaling:
         with pytest.raises(InvalidParameterError):
             make_spline_wavelet(-1)
 
+    def test_fractional_degree_refused(self):
+        # both used to build degree 2 from 2.7
+        for make in (make_bspline_scaling, make_spline_wavelet):
+            with pytest.raises(InvalidParameterError, match="integer"):
+                make(2.7)
+            assert make(np.int64(3)) == make(3.0) == make(3)
+
     def test_partition_of_unity(self):
         for d in (1, 2, 3):
             spec = make_bspline_scaling(d)
