@@ -125,6 +125,8 @@ def _weighted_signal(f: SampledSignal, power: int) -> SampledSignal:
 def moments(f: SampledSignal, k_max: int, tolerance: float | None = None) -> MomentReport:
     """Trapezoid moments of orders 0..k_max with truncation-aware tolerances."""
     k_max = check_integer(k_max, "k_max", 0)
+    if tolerance is not None and not 0.0 <= tolerance < math.inf:
+        raise InvalidParameterError(f"tolerance must be finite and >= 0, got {tolerance}")
     x = f.x()
     edge_x = max(abs(x[0]), abs(x[-1]))
     edge_f = max(abs(f.values[0]), abs(f.values[-1]))
@@ -239,13 +241,9 @@ def _empirical_constant(hpsi: SampledSignal, n: int, norm_sum: float) -> float:
 
 def _zero_extend_double_span(f: SampledSignal) -> SampledSignal:
     g = f.grid
-    extra = g.count - 1
-    left = extra // 2
-    right = extra - left
-    grid2 = Grid(g.x_min - left * g.step, g.step, g.count + extra)
-    values2 = np.zeros(grid2.count)
-    values2[left:left + g.count] = f.values
-    return SampledSignal(grid2, values2)
+    left = (g.count - 1) // 2
+    grid2 = Grid(g.x_min - left * g.step, g.step, 2 * g.count - 1)
+    return SampledSignal(grid2, np.pad(f.values, (left, g.count - 1 - left)))
 
 
 def theorem_certificate(psi: SampledSignal, hpsi: SampledSignal, n: int) -> BoundCertificate:
@@ -311,8 +309,8 @@ def _sobolev_norms(f: SampledSignal, gammas) -> list[float]:
 
 def sobolev_norm(f: SampledSignal, gamma: float) -> float:
     """Spectral Sobolev norm: (sum (1+w^2)^gamma |f^(w)|^2 dw/2pi)^(1/2)."""
-    if gamma < 0:
-        raise InvalidParameterError(f"gamma must be >= 0, got {gamma}")
+    if not 0.0 <= gamma < math.inf:
+        raise InvalidParameterError(f"gamma must be finite and >= 0, got {gamma}")
     return _sobolev_norms(f, [gamma])[0]
 
 
@@ -332,8 +330,8 @@ def smoothness_profile(f: SampledSignal, gamma_grid) -> SobolevEstimate:
     gammas = [float(g) for g in gamma_grid]
     if not gammas:
         raise InvalidParameterError("gamma_grid must be nonempty")
-    if any(g < 0 for g in gammas):
-        raise InvalidParameterError("gamma_grid entries must be >= 0")
+    if not all(0.0 <= g < math.inf for g in gammas):
+        raise InvalidParameterError("gamma_grid entries must be finite and >= 0")
     if f.grid.count < 3:
         raise GridTooNarrowError("the 2x-coarsening probe needs at least 3 samples")
     coarse = _coarsen(f)

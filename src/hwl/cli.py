@@ -177,7 +177,7 @@ def cmd_hilbert(args) -> int:
         out = hilbert_pv(f, singularity_correction=correction)
         meta = {"method": "pv", "singularity_correction": correction}
     else:
-        # the default pad already reaches this length at the largest grid
+        # a contract, not a memory guard (no N-point buffer); pad 16 reaches it at the top grid
         if args.pad * f.grid.count > 16 * MAX_GRID_COUNT:
             raise UsageError(f"--pad {args.pad} on {f.grid.count} samples asks for more "
                              f"than {16 * MAX_GRID_COUNT} FFT points (the cap)")

@@ -1,11 +1,12 @@
 """The two Hilbert transform engines and the step-function oracle.
 
 ``hilbert_pv`` discretizes the principal-value convolution with 1/(pi*t)
-directly in space; ``hilbert_spectral`` applies the -j*sign(w) multiplier in
-frequency.  The two share no code path beyond the grid container, so their
-agreement on smooth inputs is a genuine cross-check.  For step functions,
-``hilbert_box_closed_form`` gives the exact transform and serves as the
-independent oracle for both.
+in space; ``hilbert_spectral`` applies the -j*sign(w) multiplier of a
+padded DFT.  Both run one convolution, ``numerics.odd_kernel_sum``, with
+independent kernels (trapezoid weights 1/m against the multiplier's exact
+discrete kernel), so their agreement on smooth inputs cross-checks the two
+discretizations.  For step functions, ``hilbert_box_closed_form`` gives the
+exact transform and serves as the independent oracle for both.
 
 PV discretization
 -----------------
@@ -23,8 +24,8 @@ from that limit.  Switching the correction off
 (``hilbert_pv(f, singularity_correction=False)``) drops the scheme from
 second to first order on smooth inputs.
 
-The outer-cell sum is one NumPy direct convolution (``_pv_numpy.pv_sum``);
-``PV_BACKEND`` names it in benchmark records.
+The outer-cell sum is ``_pv_numpy.pv_sum``; ``PV_BACKEND`` names it in
+benchmark records.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularPointError
-from .numerics import SampledSignal, check_integer, derivative
+from .numerics import SampledSignal, _smooth_length, check_integer, derivative, odd_kernel_sum
 from .wavelets import PiecewiseConstant
 from . import _pv_numpy
 
@@ -48,29 +49,15 @@ __all__ = [
 
 
 def fft_length(count: int, pad_factor: int = 16) -> int:
-    """FFT length the spectral engine uses for a signal of ``count`` samples.
+    """Period N of the DFT multiplier ``hilbert_spectral`` reproduces.
 
     Pad factor 1 keeps the signal's own bins (exactly ``count``); any larger
     padding is rounded up to the least length >= pad_factor * count with no
-    prime factor above 5, which FFTs handle fastest.  ``pad_factor`` must be
-    an integer >= 1 (:class:`InvalidParameterError` otherwise).
+    prime factor above 5.  ``pad_factor`` must be an integer >= 1
+    (:class:`InvalidParameterError` otherwise).
     """
     pad = check_integer(pad_factor, "pad_factor", 1)
     return count if pad == 1 else _smooth_length(pad * count)
-
-
-def _smooth_length(m: int) -> int:
-    """Least 5-smooth integer (of the form 2^a 3^b 5^c) that is >= m."""
-    best = 1 << max(0, m - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the least power of two that lifts p35 to at least m
-            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def hilbert_pv(f: SampledSignal, *, singularity_correction: bool = True) -> SampledSignal:
@@ -97,28 +84,23 @@ def hilbert_pv(f: SampledSignal, *, singularity_correction: bool = True) -> Samp
 def hilbert_spectral(f: SampledSignal, *, pad_factor: int = 16) -> SampledSignal:
     """Spectral multiplier transform: -j*sign(w) on the zero-padded DFT.
 
-    The signal is zero-padded (as symmetrically as the lengths allow) to
-    ``fft_length(count, pad_factor)`` points and transformed with a real
-    FFT.  Padding pushes the periodic images of the slowly decaying kernel
-    away from the observation window.  Every positive-frequency bin is
-    multiplied by -j, the DC bin and, for even lengths, the sign-ambiguous
-    Nyquist bin are set to 0, and the inverse real FFT is cropped back to
-    the input grid.  The output is real by construction.
-    """
+    The output is the signal zero-padded to N = ``fft_length(count, pad_factor)``
+    points, times -j*sign(w) (0 at DC and an even N's Nyquist bin) and cropped
+    back, computed with no N-point buffer as ``odd_kernel_sum`` with the exact
+    kernel at offsets r reduced to (-N/2, N/2]: (2/N) cot(pi r/N) for odd r and
+    0 for even r if N is even, (cos(pi r/N) - (-1)^r) / (N sin(pi r/N)) if N is
+    odd.  Padding pushes the kernel's periodic images away from the grid."""
     n = f.grid.count
     total = fft_length(n, pad_factor)
-    left = (total - n) // 2
-    buf = np.zeros(total)
-    buf[left:left + n] = f.values
-    spec = np.fft.rfft(buf)
-    spec *= -1j
-    # irfft would drop these two bins' imaginary values anyway; zeroing them
-    # keeps the multiplier as stated
-    spec[0] = 0.0
+    r = np.arange(1, n)
+    if 2 * (n - 1) > total:  # pad 1: offsets past N/2 wrap to their periodic image
+        r = np.where(2 * r > total, r - total, r)
+    t = np.pi * r / total
     if total % 2 == 0:
-        spec[-1] = 0.0
-    out = np.fft.irfft(spec, total)
-    return SampledSignal(f.grid, out[left:left + n])
+        kernel = np.where(r % 2 == 1, 2.0 / (total * np.tan(t)), 0.0)
+    else:
+        kernel = (np.cos(t) - np.where(r % 2 == 1, -1.0, 1.0)) / (total * np.sin(t))
+    return SampledSignal(f.grid, odd_kernel_sum(f.values, kernel))
 
 
 def hilbert_box_closed_form(p: PiecewiseConstant, x) -> float | np.ndarray:

@@ -1,4 +1,4 @@
-"""Uniform-grid signals, quadrature, differentiation, norms, and the DFT.
+"""Uniform-grid signals, quadrature, derivatives, norms, the DFT and odd-kernel sums.
 
 Every quantity in the toolkit lives on a uniform grid.  Quadrature is the
 composite trapezoid rule throughout; differentiation is central differences
@@ -28,6 +28,7 @@ __all__ = [
     "mixed_norm",
     "dft",
     "idft",
+    "odd_kernel_sum",
 ]
 
 
@@ -56,9 +57,9 @@ class Grid:
     Parameters
     ----------
     x_min : float
-        Leftmost abscissa.
+        Leftmost abscissa; must be finite.
     step : float
-        Spacing between samples; must be positive.
+        Spacing between samples; must be finite and positive.
     count : int
         Number of samples; at least 2.
     """
@@ -68,8 +69,9 @@ class Grid:
     count: int
 
     def __post_init__(self):
-        if not (self.step > 0):
-            raise InvalidParameterError(f"grid step must be positive, got {self.step}")
+        if not (-np.inf < self.x_min < np.inf and 0.0 < self.step < np.inf):
+            raise InvalidParameterError(f"grid needs a finite x_min and a finite positive "
+                                        f"step, got {self.x_min} and {self.step}")
         object.__setattr__(self, "count", check_integer(self.count, "grid count", 2))
 
     @property
@@ -237,3 +239,35 @@ def idft(s: Spectrum) -> SampledSignal:
     if float(np.max(np.abs(v.imag))) > 1e-9 * scale:
         raise ValueError("spectrum is not the transform of a real signal")
     return SampledSignal(g, v.real)
+
+
+def _smooth_length(m: int) -> int:
+    """Least 5-smooth integer (of the form 2^a 3^b 5^c) that is >= m."""
+    best = 1 << max(0, m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that lifts p35 to at least m
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def odd_kernel_sum(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """out[i] = sum_p values[p] k(i - p) for the odd kernel k(-m) = -k(m)
+    given by ``kernel[m-1] = k(m)``, m = 1..n-1.  The nonzero slice of
+    ``values`` (s samples) enters one real-FFT linear convolution at the
+    least 5-smooth length >= n + s - 1, so nothing wraps into the output."""
+    n = values.shape[0]
+    nz = np.flatnonzero(values)
+    if nz.size == 0:
+        return np.zeros(n)
+    lo, hi = int(nz[0]), int(nz[-1])
+    s = hi - lo + 1
+    # k at the offsets i - p = -hi .. n-1-lo (kernel[:hi] is empty at hi = 0)
+    k = np.concatenate((-kernel[:hi][::-1], [0.0], kernel[:n - 1 - lo]))
+    size = _smooth_length(n + s - 1)
+    conv = np.fft.irfft(np.fft.rfft(values[lo:hi + 1], size) * np.fft.rfft(k, size), size)
+    return conv[s - 1:s - 1 + n]

@@ -79,6 +79,14 @@ class TestMoments:
         with pytest.raises(InvalidParameterError, match="integer"):
             analysis.moments(f, 2.5)
 
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan, math.inf])
+    def test_bad_tolerance_refused(self, grid_8, tolerance):
+        # these used to give vanishing_count 0 (or, for inf, every order) silently
+        f = sample(make_haar_wavelet(), grid_8)
+        with pytest.raises(InvalidParameterError, match="tolerance"):
+            analysis.moments(f, 2, tolerance=tolerance)
+        assert analysis.moments(f, 2, tolerance=0.0).vanishing_count == 0
+
 
 class TestSpectralMomentEquivalence:
     def test_dft_flat_at_dc_up_to_vanishing_order(self, grid_16):
@@ -269,6 +277,14 @@ class TestSobolev:
         f = sample(make_spline_wavelet(2), grid_16)
         with pytest.raises(InvalidParameterError):
             analysis.sobolev_norm(f, -0.5)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gamma_rejected(self, grid_16, gamma):
+        f = sample(make_spline_wavelet(2), grid_16)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            analysis.sobolev_norm(f, gamma)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            analysis.smoothness_profile(f, [1.0, gamma])
 
     def test_profile_cubic_wavelet(self, grid_16):
         f = sample(make_spline_wavelet(3), grid_16)

@@ -120,7 +120,7 @@ class TestHilbert:
         assert abs(outs[1].value_at(48.0) - outs[16].value_at(48.0)) > 1e-3
         meta = json.loads((tmp_path / "h16.csv.meta.json").read_text())
         assert meta == {**meta, "method": "spectral", "pad_factor": 16}
-        # the FFT length actually used: 5-smooth and at least pad * count
+        # the padded multiplier's period N: 5-smooth and at least pad * count
         length = meta["fft_length"]
         assert length >= 16 * outs[16].grid.count
         for p in (2, 3, 5):
@@ -132,7 +132,8 @@ class TestHilbert:
         assert run(["hilbert", "--method", "pv", "--out", tmp_path / "o.csv"]) == 2
 
     # pad * count above 16 * MAX_GRID_COUNT: before the cap these raised
-    # MemoryError and NumPy's "Maximum allowed dimension exceeded"
+    # MemoryError and NumPy's "Maximum allowed dimension exceeded"; the engine
+    # no longer holds that buffer, and the refusal stays as a contract
     @pytest.mark.parametrize("pad", ["1000000000000", "99999999999999999999"])
     def test_huge_pad_is_usage_error(self, tmp_path, capsys, pad):
         haar = tmp_path / "haar.csv"
@@ -278,6 +279,13 @@ class TestAnalyze:
         argv = [zero if a == "ZERO" else a for a in argv]
         assert_refused(capsys, ["analyze", *argv, "--json", tmp_path / "r.json"], 2)
         assert not (tmp_path / "r.json").exists()
+
+    def test_negative_tolerance_is_usage_error(self, tmp_path, capsys, small_signal):
+        err = assert_refused(capsys, ["analyze", "moments", "--in", small_signal,
+                                      "--max-order", 2, "--tolerance", -1,
+                                      "--json", tmp_path / "m.json"], 2)
+        assert "tolerance" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_signals_on_different_grids_are_data_error(self, tmp_path, capsys):
         narrow, wide = tmp_path / "narrow.csv", tmp_path / "wide.csv"

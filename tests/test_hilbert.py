@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from hwl import _pv_numpy
+from hwl.analysis import fit_decay
 from hwl.errors import InvalidParameterError, SingularPointError
 from hwl.hilbert import (
     PV_BACKEND,
-    _smooth_length,
     fft_length,
     hilbert_box_closed_form,
     hilbert_pv,
     hilbert_spectral,
 )
-from hwl.numerics import Grid, SampledSignal, l2_norm
+from hwl.numerics import Grid, SampledSignal, _smooth_length, derivative, l2_norm
 from hwl.wavelets import (
     make_box,
     make_bspline_scaling,
@@ -26,6 +26,31 @@ from hwl.wavelets import (
 )
 
 from conftest import STEP, make_grid
+
+
+def _complex_fft_reference(values: np.ndarray, pad: int) -> np.ndarray:
+    """The multiplier -j*sign(w) through a complex FFT at exactly
+    pad*count points, cropped back to the grid."""
+    count = len(values)
+    total = pad * count
+    left = (total - count) // 2
+    buf = np.zeros(total)
+    buf[left:left + count] = values
+    mult = -1j * np.sign(np.fft.fftfreq(total))
+    if total % 2 == 0:
+        mult[total // 2] = 0.0
+    return np.fft.ifft(np.fft.fft(buf) * mult).real[left:left + count]
+
+
+def _direct_pv_sum(values: np.ndarray) -> np.ndarray:
+    """sum_{j>=1} (f[i-j] - f[i+j])/j as one direct np.convolve of the
+    nonzero slice with the kernel 1/m over offsets -(n-1)..n-1."""
+    n = len(values)
+    nz = np.flatnonzero(values)
+    lo, hi = nz[0], nz[-1]
+    inv = 1.0 / np.arange(1, n)
+    conv = np.convolve(values[lo:hi + 1], np.concatenate((-inv[::-1], [0.0], inv)))
+    return conv[n - 1 - lo:2 * n - 1 - lo]
 
 
 class TestClosedForm:
@@ -190,29 +215,29 @@ class TestSpectral:
 
     # the cubic wavelet on an odd grid, where 16*count is not 5-smooth; and
     # noise with a nonzero mean, whose DC and Nyquist bins are far from 0, at
-    # counts where pad*count is itself the FFT length, odd (1875) or even
+    # counts where pad*count is itself the multiplier's period N, odd (1875)
+    # or even (with N/2 even or, at 2002, odd)
     @pytest.mark.parametrize("signal,count,pad", [
         ("cubic", 2 ** 12 + 1, 16), ("cubic", 2 ** 12 + 1, 1),
-        ("noise", 1875, 1), ("noise", 2000, 1), ("noise", 1875, 16),
+        ("noise", 1875, 1), ("noise", 2000, 1), ("noise", 2002, 1), ("noise", 1875, 16),
     ])
     def test_matches_complex_fft_at_pad_times_count(self, signal, count, pad):
-        # reference: the multiplier -j*sign(w) through a complex FFT at
-        # exactly pad*count points
         g = Grid(-32.0, 64.0 / (count - 1), count)
         if signal == "cubic":
             f = sample(make_spline_wavelet(3), g)
         else:
             f = SampledSignal(g, 0.5 + np.random.default_rng(0).normal(size=count))
-        total = pad * count
-        left = (total - count) // 2
-        buf = np.zeros(total)
-        buf[left:left + count] = f.values
-        mult = -1j * np.sign(np.fft.fftfreq(total))
-        if total % 2 == 0:
-            mult[total // 2] = 0.0
-        want = np.fft.ifft(np.fft.fft(buf) * mult).real[left:left + count]
+        want = _complex_fft_reference(f.values, pad)
         got = hilbert_spectral(f, pad_factor=pad).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_huge_pad_holds_no_buffer(self):
+        # N = fft_length(count, 10**18) is far beyond memory; the engine only
+        # evaluates the kernel at the grid's offsets, and the tail is pad 16's
+        f = sample(make_spline_wavelet(3), make_grid(-16.0, 16.0))
+        got = hilbert_spectral(f, pad_factor=10 ** 18).values
+        want = hilbert_spectral(f).values
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_pad_factor_validation(self):
         # a fractional pad is refused, not truncated (1.9 would run at pad 1)
@@ -225,10 +250,13 @@ class TestSpectral:
 
 
 class TestMethodAgreement:
-    """The two engines share no code path; agreement on smooth compactly
-    supported (or decaying) inputs cross-validates both.  Generators with
-    corners (degree-1 splines) sit at the contract's smoothness boundary;
-    the C1 ones used here all clear 1e-3 relative sup distance."""
+    """The two engines run one convolution (``odd_kernel_sum``) with
+    independent kernels, the trapezoid weights 1/m and the padded
+    multiplier's exact discrete kernel; agreement on smooth compactly
+    supported (or decaying) inputs cross-validates the two discretizations.
+    Generators with corners (degree-1 splines) sit at the contract's
+    smoothness boundary; the C1 ones used here all clear 1e-3 relative sup
+    distance."""
 
     @pytest.mark.parametrize("name,spec", [
         ("bspline1", make_bspline_scaling(1)),
@@ -264,3 +292,25 @@ class TestBackends:
     def test_backend_name(self):
         # benchmark records read this constant
         assert PV_BACKEND == "numpy"
+
+
+class TestPinnedTolerance:
+    """Both engines against references that do not go through
+    ``odd_kernel_sum``, on the cubic wavelet at 2^14+1 samples: each within
+    1e-14 of sup, and the [6, 24] decay exponent within 1e-8."""
+
+    @staticmethod
+    def _check(got, want, grid):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        fit_got = fit_decay(SampledSignal(grid, got), (6.0, 24.0))
+        fit_want = fit_decay(SampledSignal(grid, want), (6.0, 24.0))
+        assert abs(fit_got.exponent - fit_want.exponent) <= 1e-8
+
+    def test_pv_against_direct_sum(self, grid_32):
+        f = sample(make_spline_wavelet(3), grid_32)
+        want = (_direct_pv_sum(f.values) - grid_32.step * derivative(f).values) / np.pi
+        self._check(hilbert_pv(f).values, want, grid_32)
+
+    def test_spectral_against_complex_fft(self, grid_32):
+        f = sample(make_spline_wavelet(3), grid_32)
+        self._check(hilbert_spectral(f).values, _complex_fft_reference(f.values, 16), grid_32)

@@ -18,6 +18,7 @@ from hwl.numerics import (
     l1_norm,
     l2_norm,
     mixed_norm,
+    odd_kernel_sum,
     sup_norm,
 )
 from hwl.wavelets import make_box, make_bspline_scaling, make_haar_wavelet, sample
@@ -40,6 +41,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("x_min,step", [
+        (0.0, np.inf), (0.0, np.nan), (np.nan, 1.0), (-np.inf, 1.0), (np.inf, 1.0),
+    ])
+    def test_non_finite_origin_or_step_refused(self, x_min, step):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            Grid(x_min, step, 3)
+
     def test_fractional_count_refused(self):
         # refused here, not later by ``sample`` with a bare ValueError
         with pytest.raises(InvalidParameterError, match="integer"):
@@ -50,6 +58,45 @@ class TestGrid:
         g = Grid(0.0, 1.0, 4)
         with pytest.raises(ValueError):
             g.index_of(10.0)
+
+
+def _odd_kernel_loop(values, kernel):
+    """sum_p values[p] * k(i - p) with k(m) = kernel[m-1], k(-m) = -k(m)."""
+    n = len(values)
+    out = np.zeros(n)
+    for i in range(n):
+        for p in range(n):
+            m = i - p
+            if m:
+                out[i] += values[p] * (kernel[m - 1] if m > 0 else -kernel[-m - 1])
+    return out
+
+
+class TestOddKernelSum:
+    @pytest.mark.parametrize("values", [
+        [0.0] * 7,                      # all zero
+        [2.5, 0, 0, 0, 0, 0, 0],        # one nonzero sample at index 0
+        [0, 0, 0, 0, 0, 0, -1.5],       # ... and at n-1
+        [0.75, 0.0], [0.0, 0.75], [1.0, -3.0],  # n = 2
+        [0.0, 1.0, -2.0, 0.5, 0.0, 3.0, 0.0, 0.0],
+    ])
+    def test_matches_double_loop(self, values):
+        values = np.array(values, dtype=float)
+        n = len(values)
+        for kernel in (1.0 / np.arange(1, n), np.random.default_rng(n).normal(size=n - 1)):
+            got = odd_kernel_sum(values, kernel)
+            assert got.shape == (n,)
+            np.testing.assert_allclose(got, _odd_kernel_loop(values, kernel), rtol=0, atol=1e-14)
+
+    def test_random_slices(self):
+        rng = np.random.default_rng(5)
+        for n in range(2, 40):
+            values = np.zeros(n)
+            lo, hi = sorted(rng.integers(0, n, size=2))
+            values[lo:hi + 1] = rng.normal(size=hi - lo + 1)
+            kernel = rng.normal(size=n - 1)
+            np.testing.assert_allclose(odd_kernel_sum(values, kernel),
+                                       _odd_kernel_loop(values, kernel), rtol=0, atol=1e-12)
 
 
 class TestCheckInteger:
