@@ -193,23 +193,11 @@ def fit_decay(f: SampledSignal, window: tuple[float, float], side: str = "two_si
     if side in ("left", "two_sided") and -hi < x[0] - 0.5 * f.grid.step:
         raise FitWindowError(f"window reaches {-hi} but grid starts at {x[0]}")
     noise = NOISE_FLOOR_FACTOR * sup_norm(f)
-    if side == "two_sided":
-        mask_r = x > 0
-        mask_l = x < 0
-        er, cr, r2r, exr = _fit_one_side(x[mask_r], f.values[mask_r], lo, hi, noise)
-        el, cl, r2l, exl = _fit_one_side(x[mask_l], f.values[mask_l], lo, hi, noise)
-        return DecayFit(
-            exponent=0.5 * (er + el),
-            log_constant=0.5 * (cr + cl),
-            r_squared=min(r2r, r2l),
-            fit_window=(lo, hi),
-            side=side,
-            excluded_count=exr + exl,
-        )
-    mask = x > 0 if side == "right" else x < 0
-    e, c, r2, ex = _fit_one_side(x[mask], f.values[mask], lo, hi, noise)
-    return DecayFit(exponent=e, log_constant=c, r_squared=r2, fit_window=(lo, hi),
-                    side=side, excluded_count=ex)
+    masks = [mask for s, mask in (("right", x > 0), ("left", x < 0)) if side in (s, "two_sided")]
+    e, c, r2, ex = zip(*(_fit_one_side(x[m], f.values[m], lo, hi, noise) for m in masks))
+    # (first + last) / 2 is the mean over two sides and exactly the value of one
+    return DecayFit(exponent=(e[0] + e[-1]) / 2, log_constant=(c[0] + c[-1]) / 2,
+                    r_squared=min(r2), fit_window=(lo, hi), side=side, excluded_count=sum(ex))
 
 
 def _require_same_grid(f: SampledSignal, g: SampledSignal, what: str) -> None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -41,7 +42,6 @@ from . import wavelets
 from .hilbert import fft_length, hilbert_pv, hilbert_spectral
 from . import analysis
 from .report_io import (
-    FigureSpec,
     PanelSpec,
     read_signal_csv,
     render_figure,
@@ -50,17 +50,6 @@ from .report_io import (
 )
 
 MAX_GRID_COUNT = 2 ** 24
-
-WAVELET_NAMES = (
-    "haar-scaling",
-    "haar-wavelet",
-    "bspline-scaling",
-    "spline-wavelet",
-    "sinc2-cos",
-    "gauss-cos",
-    "box",
-)
-
 
 class UsageError(ValueError):
     pass
@@ -101,6 +90,21 @@ def parse_grid(text: str) -> Grid:
     return Grid(lo, step, count)
 
 
+# NAME -> (factory of the parsed parameters, least and most parameter count)
+GENERATORS = {
+    "haar-scaling": (wavelets.make_haar_scaling, 0, 0),
+    "haar-wavelet": (wavelets.make_haar_wavelet, 0, 0),
+    "bspline-scaling": (wavelets.make_bspline_scaling, 1, 1),
+    "spline-wavelet": (wavelets.make_spline_wavelet, 1, 1),
+    "sinc2-cos": (lambda omega0, phase=0.0:
+                  wavelets.make_modulated_window("sinc2", omega0, phase=phase), 1, 2),
+    "gauss-cos": (lambda sigma, omega0, phase=0.0:
+                  wavelets.make_modulated_window("gauss", omega0, phase=phase, sigma=sigma), 2, 3),
+    "box": (wavelets.make_box, 2, 2),
+}
+WAVELET_NAMES = tuple(GENERATORS)
+
+
 def parse_wavelet(text: str):
     """Parse ``NAME[,param,...]`` into a generator object.
 
@@ -108,50 +112,23 @@ def parse_wavelet(text: str):
     sinc2-cos,OMEGA0[,PHASE]  gauss-cos,SIGMA,OMEGA0[,PHASE]  box,A,B.
     """
     name, comma, raw = text.partition(",")
-    if name not in WAVELET_NAMES:
+    if name not in GENERATORS:
         raise UsageError(f"unknown wavelet {name!r}; choose from {', '.join(WAVELET_NAMES)}")
+    factory, least, most = GENERATORS[name]
     params = parse_numbers(raw, ",", f"{name} parameter") if comma else []
-
-    def need(k):
-        if len(params) != k:
-            raise UsageError(f"{name} takes {k} parameter(s), got {len(params)}")
-
-    try:
-        if name == "haar-scaling":
-            need(0)
-            return wavelets.make_haar_scaling()
-        if name == "haar-wavelet":
-            need(0)
-            return wavelets.make_haar_wavelet()
-        if name == "bspline-scaling":
-            need(1)
-            return wavelets.make_bspline_scaling(params[0])
-        if name == "spline-wavelet":
-            need(1)
-            return wavelets.make_spline_wavelet(params[0])
-        if name == "sinc2-cos":
-            if len(params) not in (1, 2):
-                raise UsageError("sinc2-cos takes OMEGA0[,PHASE]")
-            return wavelets.make_modulated_window(
-                "sinc2", params[0], phase=params[1] if len(params) == 2 else 0.0
-            )
-        if name == "gauss-cos":
-            if len(params) not in (2, 3):
-                raise UsageError("gauss-cos takes SIGMA,OMEGA0[,PHASE]")
-            return wavelets.make_modulated_window(
-                "gauss", params[1], phase=params[2] if len(params) == 3 else 0.0,
-                sigma=params[0],
-            )
-        if name == "box":
-            need(2)
-            return wavelets.make_box(params[0], params[1])
-    except InvalidParameterError as exc:
-        raise UsageError(str(exc)) from None
-    raise UsageError(f"unknown wavelet {name!r}")
+    if not least <= len(params) <= most:
+        counts = f"{least}" if least == most else f"{least} to {most}"
+        raise UsageError(f"{name} takes {counts} parameter(s), got {len(params)}")
+    return factory(*params)
 
 
 def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _read(*paths):
+    """The signals in ``paths`` and their comma-joined SHA-256 digest."""
+    return [read_signal_csv(p) for p in paths], ",".join(map(_digest, paths))
 
 
 # the benchmark's tracer (hwlbench/trace.py) wraps the writer under this name
@@ -170,8 +147,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    f = read_signal_csv(getattr(args, "in"))
-    digest = _digest(getattr(args, "in"))
+    (f,), digest = _read(getattr(args, "in"))
     if args.method == "pv":
         correction = not args.no_correction
         out = hilbert_pv(f, singularity_correction=correction)
@@ -203,7 +179,7 @@ def cmd_analyze(args) -> int:
 # is present only when its expectation was given.
 
 def analyze_decay(args):
-    f = read_signal_csv(getattr(args, "in"))
+    (f,), digest = _read(getattr(args, "in"))
     lo, hi = parse_numbers(args.window, ":", "window lo:hi", count=2)
     fit = analysis.fit_decay(f, (lo, hi), side=args.side)
     checks = {}
@@ -213,27 +189,27 @@ def analyze_decay(args):
         checks["min_exponent"] = fit.exponent >= args.min_exponent
     if args.min_r2 is not None:
         checks["r_squared"] = fit.r_squared > args.min_r2
-    return fit, _digest(getattr(args, "in")), checks, {"window": [lo, hi], "side": args.side}
+    return fit, digest, checks, {"window": [lo, hi], "side": args.side}
 
 
 def analyze_moments(args):
-    f = read_signal_csv(getattr(args, "in"))
+    (f,), digest = _read(getattr(args, "in"))
     report = analysis.moments(f, args.max_order, tolerance=args.tolerance)
     checks = {}
     if args.expect_count is not None:
         checks["vanishing_count"] = report.vanishing_count >= args.expect_count
     params = {"max_order": args.max_order, "tolerance": args.tolerance}
-    return report, _digest(getattr(args, "in")), checks, params
+    return report, digest, checks, params
 
 
 def analyze_sobolev(args):
-    f = read_signal_csv(getattr(args, "in"))
+    (f,), digest = _read(getattr(args, "in"))
     gammas = parse_numbers(args.gammas, ",", "gammas")
     est = analysis.smoothness_profile(f, gammas)
     checks = {}
     if args.expect_order is not None:
         checks["smoothness_order"] = est.smoothness_order == args.expect_order
-    return est, _digest(getattr(args, "in")), checks, {"gammas": gammas}
+    return est, digest, checks, {"gammas": gammas}
 
 
 def analyze_bedrosian(args):
@@ -250,24 +226,20 @@ def analyze_bedrosian(args):
 
 
 def analyze_certificate(args):
-    psi = read_signal_csv(args.psi)
-    hpsi = read_signal_csv(args.hpsi)
+    (psi, hpsi), digest = _read(args.psi, args.hpsi)
     cert = analysis.theorem_certificate(psi, hpsi, args.order)
     checks = {}
     if args.expect_stable is not None:
         checks["stable"] = cert.stable == (args.expect_stable == "true")
-    digest = f"{_digest(args.psi)},{_digest(args.hpsi)}"
     return cert, digest, checks, {"order": args.order}
 
 
 def analyze_tail_limit(args):
-    f = read_signal_csv(getattr(args, "in"))
-    hf = read_signal_csv(args.hilbert)
+    (f, hf), digest = _read(getattr(args, "in"), args.hilbert)
     probe, predicted = analysis.tail_limit(f, hf, args.probe)
     checks = {}
     if args.rel_tol is not None:
         checks["relative_agreement"] = abs(probe - predicted) <= args.rel_tol * abs(predicted)
-    digest = f"{_digest(getattr(args, 'in'))},{_digest(args.hilbert)}"
     record = ("tail_limit", {"probe_value": probe, "predicted": predicted})
     return record, digest, checks, {"probe": args.probe}
 
@@ -300,46 +272,42 @@ def analyze_partition(args):
 # figures
 # --------------------------------------------------------------------------
 
-def build_figure(figure_id: int) -> FigureSpec:
-    """Run the generator -> transform -> panel chain for a standard figure."""
-    step = 2.0 ** -8
-    if figure_id == 1:
-        grid = Grid(-8.0, step, int(16 / step) + 1)
-        panels = []
-        for title, spec in (
-            ("(a) Haar scaling function", wavelets.make_haar_scaling()),
-            ("(b) cubic B-spline", wavelets.make_bspline_scaling(3)),
-        ):
-            sig = wavelets.sample(spec, grid)
-            panels.append(PanelSpec(
-                curves=((sig, "original"), (hilbert_spectral(sig), "transformed")),
-                title=title,
-            ))
-        return FigureSpec(figure_id=1, panels=tuple(panels))
-    if figure_id == 2:
-        # grid offset by half a step so the singular point x = 0 is never
-        # sampled; the column through it is clipped by the y-range
-        grid = Grid(-4.0 + step / 2.0, step, int(8 / step))
-        x = grid.abscissas()
-        kernel = SampledSignal(grid, 1.0 / (np.pi * x))
-        panel = PanelSpec(curves=((kernel, "kernel"),),
-                          title="convolution kernel 1/(pi x)", y_range=(-5.0, 5.0))
-        return FigureSpec(figure_id=2, panels=(panel,))
-    if figure_id == 3:
-        grid = Grid(-6.0, step, int(12 / step) + 1)
-        panels = []
-        for d in range(4):
-            sig = wavelets.sample(wavelets.make_spline_wavelet(d), grid)
-            panels.append(PanelSpec(
-                curves=((sig, "original"), (hilbert_spectral(sig), "transformed")),
-                title=f"degree {d}",
-            ))
-        return FigureSpec(figure_id=3, panels=tuple(panels))
-    raise UsageError(f"no figure with id {figure_id}")
+_FIGURE_STEP = 2.0 ** -8
+
+
+def _pair_panels(grid: Grid, titled_specs) -> list[PanelSpec]:
+    """One panel per ``(title, generator)``: its samples and their transform."""
+    panels = []
+    for title, spec in titled_specs:
+        sig = wavelets.sample(spec, grid)
+        panels.append(PanelSpec(
+            curves=((sig, "original"), (hilbert_spectral(sig), "transformed")), title=title))
+    return panels
+
+
+def _kernel_panel() -> list[PanelSpec]:
+    # grid offset by half a step so the singular point x = 0 is never
+    # sampled; the column through it is clipped by the y-range
+    grid = Grid(-4.0 + _FIGURE_STEP / 2.0, _FIGURE_STEP, int(8 / _FIGURE_STEP))
+    kernel = SampledSignal(grid, 1.0 / (np.pi * grid.abscissas()))
+    return [PanelSpec(curves=((kernel, "kernel"),),
+                      title="convolution kernel 1/(pi x)", y_range=(-5.0, 5.0))]
+
+
+# figure id -> the generator -> transform -> panel chain that builds it:
+# 1 scaling-function breakup, 2 kernel, 3 wavelet pairs
+FIGURES = {
+    1: lambda: _pair_panels(Grid(-8.0, _FIGURE_STEP, int(16 / _FIGURE_STEP) + 1), (
+        ("(a) Haar scaling function", wavelets.make_haar_scaling()),
+        ("(b) cubic B-spline", wavelets.make_bspline_scaling(3)))),
+    2: _kernel_panel,
+    3: lambda: _pair_panels(Grid(-6.0, _FIGURE_STEP, int(12 / _FIGURE_STEP) + 1), (
+        (f"degree {d}", wavelets.make_spline_wavelet(d)) for d in range(4))),
+}
 
 
 def cmd_figure(args) -> int:
-    render_figure(build_figure(args.id), args.out)
+    render_figure(FIGURES[args.id](), args.out)
     return 0
 
 
@@ -447,22 +415,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze, analyze=analyze_partition)
 
     p = sub.add_parser("figure", help="render a standard figure as SVG")
-    p.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
+    p.add_argument("--id", type=int, required=True, choices=FIGURES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_figure)
 
     return parser
 
 
-# options whose values can legitimately begin with "-" (grids reaching into
-# negative x, negative probes); they are joined with "=" before parsing so
-# argparse does not mistake the value for a flag
-_DASH_VALUE_FLAGS = {
-    "--grid", "--window", "--probe", "--omega0", "--sigma",
-    "--expect-exponent", "--exponent-tol", "--min-exponent", "--min-r2",
-    "--tolerance", "--max-residual", "--min-residual", "--rel-tol",
-    "--central-halfwidth", "--max-central", "--min-central",
-}
+# a negative number or grid ("-" then a digit or "."), which argparse would
+# take for a flag; joined to its option with "=" before parsing
+_DASH_VALUE = re.compile(r"-[0-9.]")
 
 
 def _absorb_dash_values(argv: list[str]) -> list[str]:
@@ -470,7 +432,8 @@ def _absorb_dash_values(argv: list[str]) -> list[str]:
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _DASH_VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+        if (tok.startswith("--") and "=" not in tok and i + 1 < len(argv)
+                and _DASH_VALUE.match(argv[i + 1])):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

@@ -162,10 +162,13 @@ class Spectrum:
         object.__setattr__(self, "values", v)
 
 
+def _trapezoid(values: np.ndarray, step: float) -> float:
+    return float(step * (values.sum() - 0.5 * (values[0] + values[-1])))
+
+
 def integrate(f: SampledSignal) -> float:
     """Composite-trapezoid approximation of the integral over the grid span."""
-    v = f.values
-    return float(f.grid.step * (v.sum() - 0.5 * (v[0] + v[-1])))
+    return _trapezoid(f.values, f.grid.step)
 
 
 def derivative(f: SampledSignal) -> SampledSignal:
@@ -184,12 +187,11 @@ def derivative(f: SampledSignal) -> SampledSignal:
 
 
 def l1_norm(f: SampledSignal) -> float:
-    return float(f.grid.step * (np.abs(f.values).sum() - 0.5 * (abs(f.values[0]) + abs(f.values[-1]))))
+    return _trapezoid(np.abs(f.values), f.grid.step)
 
 
 def l2_norm(f: SampledSignal) -> float:
-    v2 = f.values * f.values
-    return float(np.sqrt(f.grid.step * (v2.sum() - 0.5 * (v2[0] + v2[-1]))))
+    return float(np.sqrt(_trapezoid(f.values * f.values, f.grid.step)))
 
 
 def sup_norm(f: SampledSignal) -> float:

@@ -40,7 +40,6 @@ __all__ = [
     "write_report_json",
     "read_report_json",
     "PanelSpec",
-    "FigureSpec",
     "render_figure",
 ]
 
@@ -144,7 +143,7 @@ def read_signal_csv(path) -> SampledSignal:
 
 
 def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
@@ -263,20 +262,6 @@ class PanelSpec:
                 raise InvalidParameterError(f"unknown style role {role!r}")
 
 
-@dataclass(frozen=True)
-class FigureSpec:
-    """A figure: 1 (scaling-function breakup), 2 (kernel), 3 (wavelet pairs)."""
-
-    figure_id: int
-    panels: tuple[PanelSpec, ...]
-
-    def __post_init__(self):
-        if self.figure_id not in (1, 2, 3):
-            raise InvalidParameterError(f"figure_id must be 1, 2 or 3, got {self.figure_id}")
-        if len(self.panels) == 0:
-            raise InvalidParameterError("figure needs at least one panel")
-
-
 _PANEL_W, _PANEL_H = 340, 260
 _MARGIN = 46
 _MAX_POINTS = 2048
@@ -298,10 +283,12 @@ def _polyline(x, y, x0, x1, y0, y1, ox, oy) -> str:
     return " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
 
 
-def render_figure(spec: FigureSpec, path) -> None:
-    """Emit a standalone SVG: one row of panels, labeled axes, one polyline
-    per curve, values clipped to the panel's y-range."""
-    n = len(spec.panels)
+def render_figure(panels, path) -> None:
+    """Emit a standalone SVG of ``panels`` (at least one): one row of panels,
+    labeled axes, one polyline per curve, values clipped to the panel's y-range."""
+    n = len(panels)
+    if n == 0:
+        raise InvalidParameterError("figure needs at least one panel")
     width = _MARGIN + n * (_PANEL_W + _MARGIN)
     height = _PANEL_H + 2 * _MARGIN + 14
     parts = [
@@ -310,7 +297,7 @@ def render_figure(spec: FigureSpec, path) -> None:
         f'font-size="11">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for ip, panel in enumerate(spec.panels):
+    for ip, panel in enumerate(panels):
         ox = _MARGIN + ip * (_PANEL_W + _MARGIN)
         oy = _MARGIN
         xs = [sig.x() for sig, _ in panel.curves]

@@ -73,6 +73,7 @@ class TestGen:
     @pytest.mark.parametrize("wavelet,grid", [
         ("bspline-scaling,2.7", "-1:1:0.25"),
         ("haar-wavelet", "-1e308:1e308:1"),  # the sample count overflows
+        ("haar-wavelet", "-inf:0:1"),
         ("sinc2-cos,1e308", "-4:4:1"),  # finite parameters, non-finite samples
     ])
     def test_refusals_name_the_problem(self, tmp_path, capsys, wavelet, grid):
@@ -238,7 +239,8 @@ class TestAnalyze:
         assert payload["smoothness_order"] == 2
         assert payload["pass"] is True
 
-    @pytest.mark.parametrize("window", ["4", "4:x", "4:8:9", "4:inf"])
+    # a dash value that is not a number ("-inf", "-nan") is left to argparse
+    @pytest.mark.parametrize("window", ["4", "4:x", "4:8:9", "4:inf", "-inf:4", "-nan"])
     def test_bad_window_is_usage_error(self, tmp_path, capsys, small_signal, window):
         assert_refused(capsys, ["analyze", "decay", "--in", small_signal, "--window", window,
                                 "--json", tmp_path / "d.json"], 2)
@@ -371,6 +373,28 @@ def _leaf_parsers(parser, words=()):
 _LEAVES = tuple(_leaf_parsers(cli._build_parser()))
 _INPUT_FLAGS = ("--in", "--hilbert", "--psi", "--hpsi")
 _OUTPUT_FLAGS = ("--out", "--json", "--out-csv")
+
+
+def test_negative_values_parse_as_separate_tokens():
+    """A negative number or grid given after its option as its own token is
+    that option's value, for every float option and for --grid/--window."""
+    checked = 0
+    for words, parser in _LEAVES:
+        for action in parser._actions:
+            flag = action.option_strings[0]
+            if action.type is not cli.finite_float and (
+                    flag not in ("--grid", "--window") or action.choices):
+                continue
+            # argparse alone takes "-2.5" for a value, but not "-2.5e0" or a grid
+            value = "-2.5e0" if action.type is cli.finite_float else "-8:-0.5"
+            argv = [*words, flag, value]
+            for other in parser._actions:
+                if other.required and other is not action:
+                    argv += [other.option_strings[0], str(next(iter(other.choices or [1])))]
+            args = cli._build_parser().parse_args(cli._absorb_dash_values(argv))
+            assert getattr(args, action.dest) == (-2.5 if value == "-2.5e0" else value), argv
+            checked += 1
+    assert checked >= 16
 
 
 def _mostly(sane, junk=_FIELD):

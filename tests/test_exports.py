@@ -3,6 +3,7 @@ rather than at a user's import."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +23,16 @@ def test_star_import():
     namespace = {}
     exec("from hwl import *", namespace)
     assert set(hwl.__all__) <= namespace.keys()
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    """Every name the benchmark's tracer wraps (``hwlbench/trace.py``), and
+    the ``PV_BACKEND`` its run records carry, resolve, so a simplification of
+    ``hwl`` cannot silently break a traced benchmark run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from hwlbench.trace import TARGETS
+
+    missing = [f"{module}.{attr}" for module, attr, *_ in TARGETS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing, f"names the tracer wraps are gone: {missing}"
+    assert hasattr(hwl, "PV_BACKEND")

@@ -15,7 +15,6 @@ from hwl.errors import InvalidParameterError, ParseError, SchemaError
 from hwl.hilbert import hilbert_spectral
 from hwl.numerics import Grid, SampledSignal
 from hwl.report_io import (
-    FigureSpec,
     PanelSpec,
     read_report_json,
     read_signal_csv,
@@ -229,6 +228,14 @@ class TestReportJson:
         with pytest.raises(SchemaError, match="strict JSON: NaN"):
             read_report_json(p)
 
+    def test_numpy_scalars_serialize(self, tmp_path):
+        p = tmp_path / "np.json"
+        write_report_json(("bedrosian_residual", {"residual": np.float32(0.5)}), p,
+                          extra={"pass": np.bool_(True), "parameters": {"k": np.int64(4)}})
+        payload = read_report_json(p)
+        assert payload["residual"] == 0.5
+        assert payload["pass"] is True and payload["parameters"] == {"k": 4}
+
     def test_extra_fields_cannot_shadow_schema(self, tmp_path, grid_16):
         report = sample_reports(grid_16)["decay_fit"]
         with pytest.raises(InvalidParameterError):
@@ -252,7 +259,7 @@ class TestFigures:
                 title=f"degree {d}",
             ))
         p = tmp_path / "fig3.svg"
-        render_figure(FigureSpec(figure_id=3, panels=tuple(panels)), p)
+        render_figure(panels, p)
         assert self._curve_count(p) == 8
 
     def test_kernel_panel_clipped(self, tmp_path):
@@ -261,21 +268,14 @@ class TestFigures:
         x = g.abscissas()
         kern = SampledSignal(g, 1.0 / (np.pi * x))
         p = tmp_path / "fig2.svg"
-        render_figure(FigureSpec(
-            figure_id=2,
-            panels=(PanelSpec(curves=((kern, "kernel"),), y_range=(-5.0, 5.0)),)), p)
+        render_figure([PanelSpec(curves=((kern, "kernel"),), y_range=(-5.0, 5.0))], p)
         root = ET.parse(p).getroot()  # well-formed XML
         assert root.tag.endswith("svg")
 
-    def test_empty_panel_list_rejected(self):
+    def test_empty_panel_list_rejected(self, tmp_path):
         with pytest.raises(InvalidParameterError):
-            FigureSpec(figure_id=1, panels=())
-
-    def test_bad_figure_id_rejected(self, grid_8):
-        sig = sample(make_bspline_scaling(1), grid_8)
-        panel = PanelSpec(curves=((sig, "original"),))
-        with pytest.raises(InvalidParameterError):
-            FigureSpec(figure_id=7, panels=(panel,))
+            render_figure([], tmp_path / "empty.svg")
+        assert not (tmp_path / "empty.svg").exists()
 
     def test_unknown_role_rejected(self, grid_8):
         sig = sample(make_bspline_scaling(1), grid_8)
