@@ -388,7 +388,11 @@ def partition_deviation(spec: WaveletSpec | PiecewiseConstant, k_range: int,
     x = grid.abscissas()
     total = np.zeros(grid.count)
     if not transformed:
-        for k in range(-k_range, k_range + 1):
+        # only the translates whose support meets the grid add anything
+        lo, hi = ((spec.breakpoints[0], spec.breakpoints[-1])
+                  if isinstance(spec, PiecewiseConstant) else spec.support)
+        for k in range(math.ceil(max(x[0] - hi, -k_range)),
+                       math.floor(min(x[-1] - lo, k_range)) + 1):
             total += evaluate(spec, x - k)
         return SampledSignal(grid, total - 1.0)
     shift = 1.0 / grid.step
@@ -399,12 +403,10 @@ def partition_deviation(spec: WaveletSpec | PiecewiseConstant, k_range: int,
         )
     shift = int(round(shift))
     g = hilbert_spectral(sample(spec, grid)).values
-    for k in range(-k_range, k_range + 1):
-        s = k * shift
-        if abs(s) >= grid.count:
-            continue  # the shifted copy lies entirely outside the grid
-        if s >= 0:
-            total[s:] += g[:grid.count - s] if s else g
-        else:
-            total[:s] += g[-s:]
+    # a copy shifted by count samples or more lies entirely outside the grid
+    reach = min(k_range, (grid.count - 1) // shift)
+    padded = np.pad(g, reach * shift)
+    for k in range(-reach, reach + 1):
+        start = (reach - k) * shift
+        total += padded[start:start + grid.count]
     return SampledSignal(grid, total - 1.0)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -69,15 +68,10 @@ _REQUIRED = {
 }
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_signal_csv(f: SampledSignal, path) -> None:
     """Write ``x,value`` rows at full binary64 round-trip precision."""
-    x = f.x()
     lines = [CSV_HEADER]
-    lines.extend(f"{_fmt(xi)},{_fmt(vi)}" for xi, vi in zip(x, f.values))
+    lines.extend(f"{x:.17g},{v:.17g}" for x, v in zip(f.x().tolist(), f.values.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -101,18 +95,20 @@ def _parse_rows(body: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _parse_rows_fast(body: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """The same parse in one pass over all fields (Python ``float`` on each),
-    or None when some row is malformed; :func:`_parse_rows` then finds it."""
-    if set(map(str.count, body, repeat(","))) != {1}:
+    """The same parse by NumPy's C reader, or None when some row is malformed
+    or holds a field only ``float`` takes; :func:`_parse_rows` then decides."""
+    # float refuses a field with U+001F around it, which loadtxt strips as
+    # whitespace, or with a '#' in it, which loadtxt's default comments='#'
+    # would cut off
+    if "\x1f" in "".join(body):
         return None
     try:
-        fields = np.fromiter(map(float, ",".join(body).split(",")), dtype=np.float64,
-                             count=2 * len(body))
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if not np.isfinite(fields).all():
+    if data.shape[1] != 2 or not np.isfinite(data).all():
         return None
-    return fields[0::2], fields[1::2]
+    return data[:, 0], data[:, 1]
 
 
 def read_signal_csv(path) -> SampledSignal:

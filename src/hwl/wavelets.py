@@ -75,10 +75,10 @@ class PiecewiseConstant:
 class WaveletSpec:
     """Description of an analytic generator; evaluate with :func:`evaluate`.
 
-    ``kind`` is one of ``haar_scaling``, ``haar_wavelet``, ``box``,
-    ``bspline_scaling``, ``spline_wavelet``, ``modulated_window``; the other
-    fields are populated as the kind requires.  ``support`` is None for the
-    (unbounded) modulated windows.
+    ``kind`` is one of ``bspline_scaling``, ``spline_wavelet``,
+    ``modulated_window``; the other fields are populated as the kind
+    requires.  ``support`` is None for the (unbounded) modulated windows.
+    Step functions (Haar, boxes) are :class:`PiecewiseConstant` instead.
     """
 
     kind: str
@@ -103,10 +103,9 @@ def cardinal_bspline(order: int, t) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     cols = [((t - j >= 0.0) & (t - j < 1.0)).astype(np.float64) for j in range(order)]
     for m in range(2, order + 1):
-        u = t
         nxt = []
         for j in range(order - m + 1):
-            uj = u - j
+            uj = t - j
             nxt.append((uj * cols[j] + (m - uj) * cols[j + 1]) / (m - 1))
         cols = nxt
     return cols[0]
@@ -154,27 +153,25 @@ def spline_wavelet_coefficients(degree: int) -> np.ndarray:
     """
     degree = _check_degree(degree)
     m = degree + 1
-    args = np.arange(-m, 3 * m) + 1.0  # all k - l + 1 values needed
-    n2m = cardinal_bspline(2 * m, args)
-    table = {int(a): v for a, v in zip(args, n2m)}
+    # N_{2m}(k - l + 1) for every k - l + 1 in [1 - m, 3m - 1], at index k - l + m
+    n2m = cardinal_bspline(2 * m, np.arange(-m, 3 * m) + 1.0)
     q = np.empty(3 * m - 1)
     for k in range(3 * m - 1):
-        s = sum(math.comb(m, l) * table[k - l + 1] for l in range(m + 1))
+        s = sum(math.comb(m, l) * n2m[k - l + m] for l in range(m + 1))
         q[k] = ((-1) ** k / 2.0 ** (m - 1)) * s
     return q
 
 
 def _spline_wavelet_l2(q: np.ndarray, m: int) -> float:
     # ||psi||^2 = (1/2) sum_{k,k'} q_k q_k' N_{2m}(m + k - k'); the 1/2 is the
-    # Jacobian of u = 2x - k.
-    rs = np.arange(-(m - 1), m)
-    auto = {int(r): cardinal_bspline(2 * m, np.array([m + r], dtype=float))[0] for r in rs}
+    # Jacobian of u = 2x - k.  auto[r + n - 1] = N_{2m}(m + r), exactly 0 for
+    # |r| >= m.
+    n = len(q)
+    auto = cardinal_bspline(2 * m, m + np.arange(1.0 - n, n))
     total = 0.0
-    for k1 in range(len(q)):
-        for k2 in range(len(q)):
-            r = k1 - k2
-            if -(m - 1) <= r <= m - 1:
-                total += q[k1] * q[k2] * auto[r]
+    for k1 in range(n):
+        for k2 in range(n):
+            total += q[k1] * q[k2] * auto[k1 - k2 + n - 1]
     return 0.5 * total
 
 

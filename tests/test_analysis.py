@@ -2,6 +2,7 @@
 tail limits, and partition sums."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -392,3 +393,15 @@ class TestPartition:
         wide = analysis.partition_deviation(make_bspline_scaling(1), 10, True, g)
         edge = analysis.partition_deviation(make_bspline_scaling(1), 8, True, g)
         np.testing.assert_array_equal(wide.values, edge.values)
+
+    @pytest.mark.parametrize("transformed", [False, True])
+    def test_huge_k_range_visits_only_translates_that_reach(self, transformed):
+        # 257 samples on [-8, 8]: translates with |k| > 20 cannot reach them,
+        # so K = 10**9 is K = 20, without visiting 2*10**9 + 1 translates
+        g = Grid(-8.0, 0.0625, 257)
+        spec = make_bspline_scaling(3)
+        start = time.perf_counter()
+        huge = analysis.partition_deviation(spec, 10**9, transformed, g)
+        assert time.perf_counter() - start < 1.0
+        covering = analysis.partition_deviation(spec, 20, transformed, g)
+        np.testing.assert_array_equal(huge.values, covering.values)

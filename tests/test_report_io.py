@@ -119,9 +119,16 @@ class TestSignalCsv:
 @given(csv=_CSV)
 # three fields then one: as many fields as two good rows
 @example(csv=b"x,value\n0,1,2\n3\n")
+# fields float takes and loadtxt refuses: underscores, full-width digits
+@example(csv=b"x,value\n1_0,1\n2_0,2\n")
+@example(csv="x,value\n\uff11,1\n\uff12,2\n".encode())
+# fields loadtxt would take and float refuses: U+001F strips as whitespace,
+# and '#' starts a comment unless comments=None
+@example(csv=b"x,value\n1\x1f,1\n2,2\n")
+@example(csv=b"x,value\n0,1.5#c\n1,2\n")
 def test_fast_parse_matches_row_parser(tmp_path_factory, csv):
-    """The one-pass parse returns what the row-by-row parser returns, bit
-    for bit, or lets it raise the same error for the same row."""
+    """NumPy's parse returns what the row-by-row parser returns, bit for
+    bit, or lets it raise the same error for the same row."""
     path = tmp_path_factory.getbasetemp() / "fast_parse.csv"
     path.write_bytes(csv)
 
