@@ -61,7 +61,8 @@ class Grid:
     step : float
         Spacing between samples; must be finite and positive.
     count : int
-        Number of samples; at least 2.
+        Number of samples; at least 2.  The last abscissa ``x_max`` must be
+        finite as well.
     """
 
     x_min: float
@@ -73,6 +74,12 @@ class Grid:
             raise InvalidParameterError(f"grid needs a finite x_min and a finite positive "
                                         f"step, got {self.x_min} and {self.step}")
         object.__setattr__(self, "count", check_integer(self.count, "grid count", 2))
+        try:
+            finite = np.isfinite(self.x_max)
+        except OverflowError:  # a count beyond the float range
+            finite = False
+        if not finite:
+            raise InvalidParameterError(f"{self} has a last abscissa that overflows")
 
     @property
     def x_max(self) -> float:

@@ -2,8 +2,9 @@
 
 Haar family and boxes are exact step functions (:class:`PiecewiseConstant`);
 B-spline scaling functions and compactly supported semi-orthogonal spline
-wavelets are evaluated through the Cox-de Boor recursion; modulated windows
-cover the bandlimited (sinc^2) and effectively-bandlimited (Gaussian) cases.
+wavelets are evaluated through the Cox-de Boor recursion, at the abscissas
+inside their support only; modulated windows cover the bandlimited (sinc^2)
+and effectively-bandlimited (Gaussian) cases.
 
 Conventions:
 
@@ -12,7 +13,9 @@ Conventions:
 * spline wavelets are scaled to unit L2 norm, computed in closed form from
   the autocorrelation identity for cardinal B-splines, so the scaling is
   grid-independent and bit-reproducible;
-* step functions use half-open intervals [a, b) throughout.
+* step functions use half-open intervals [a, b) throughout;
+* a compactly supported generator is exactly +0.0 outside its support,
+  at infinite abscissas too, and NaN at a NaN abscissa.
 """
 
 from __future__ import annotations
@@ -222,11 +225,8 @@ def make_modulated_window(window_kind: str, omega0: float, phase: float = 0.0,
     )
 
 
-def evaluate(spec: WaveletSpec | PiecewiseConstant, x) -> np.ndarray:
-    """Pointwise evaluation of a generator at arbitrary abscissas."""
-    x = np.asarray(x, dtype=np.float64)
-    if isinstance(spec, PiecewiseConstant):
-        return spec(x)
+def _formula(spec: WaveletSpec, x: np.ndarray) -> np.ndarray:
+    # the per-kind formula, at every abscissa it is given
     if spec.kind == "bspline_scaling":
         return cardinal_bspline(spec.degree + 1, x + (spec.degree + 1) / 2.0)
     if spec.kind == "spline_wavelet":
@@ -247,6 +247,29 @@ def evaluate(spec: WaveletSpec | PiecewiseConstant, x) -> np.ndarray:
     raise InvalidParameterError(f"cannot evaluate spec of kind {spec.kind!r}")
 
 
+def evaluate(spec: WaveletSpec | PiecewiseConstant, x) -> np.ndarray:
+    """Pointwise evaluation of a generator at arbitrary abscissas.
+
+    A generator with a compact ``support`` is computed at the abscissas in
+    it only and is exactly +0.0 outside it, an infinite abscissa included;
+    a NaN abscissa gives NaN.  A scalar ``x`` gives a NumPy scalar.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if isinstance(spec, PiecewiseConstant):
+        return spec(x)
+    if spec.support is None:
+        return _formula(spec, x)
+    lo, hi = spec.support
+    inside = ~((x < lo) | (x > hi))  # NaN counts as inside
+    out = np.zeros_like(x)
+    out[inside] = _formula(spec, x[inside])
+    return out[()]
+
+
 def sample(spec: WaveletSpec | PiecewiseConstant, grid: Grid) -> SampledSignal:
-    """Sample a generator on a grid; points outside the support are exactly 0."""
+    """Sample a generator on a grid through :func:`evaluate`.
+
+    Samples outside a compact support are exactly +0.0, and only the
+    samples inside it are computed.
+    """
     return SampledSignal(grid, evaluate(spec, grid.abscissas()))

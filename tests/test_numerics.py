@@ -48,6 +48,16 @@ class TestGrid:
         with pytest.raises(InvalidParameterError, match="finite"):
             Grid(x_min, step, 3)
 
+    @pytest.mark.parametrize("x_min,step,count", [
+        (0.0, 1e308, 3), (-1e308, 1e308, 4), (1e308, 1e306, 2**20), (0.0, 1.0, 10**400),
+    ])
+    def test_overflowing_last_abscissa_refused(self, x_min, step, count):
+        # x_max would be inf, and a generator sampled there would read 0 at
+        # the infinite abscissa
+        with pytest.raises(InvalidParameterError, match="Grid.*overflows"):
+            Grid(x_min, step, count)
+        assert Grid(-1e308, 5e307, 3).x_max == 0.0  # large, but every abscissa finite
+
     def test_fractional_count_refused(self):
         # refused here, not later by ``sample`` with a bare ValueError
         with pytest.raises(InvalidParameterError, match="integer"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hwl.errors import InvalidParameterError
-from hwl.numerics import SampledSignal, integrate, l2_norm
+from hwl.numerics import Grid, SampledSignal, integrate, l2_norm
 from hwl.wavelets import (
     DEGREE_CAP,
     PiecewiseConstant,
@@ -192,12 +192,51 @@ class TestSample:
         f = sample(make_haar_wavelet(), g)
         assert f.value_at(0.0) == -1.0
 
-    def test_outside_support_all_zero(self):
+
+def _whole_array(spec, x):
+    """The compact generators' formulas run at every abscissa, in or out of the support."""
+    x = np.asarray(x, dtype=np.float64)
+    m = spec.degree + 1
+    if spec.kind == "bspline_scaling":
+        return cardinal_bspline(m, x + m / 2.0)
+    xs = 2.0 * (x + (2 * m - 1) / 2.0)
+    out = np.zeros_like(x)
+    for k, qk in enumerate(spec.coefficients):
+        out += qk * cardinal_bspline(m, xs - k)
+    return spec.amplitude * out
+
+
+class TestSupportWindow:
+    """``evaluate`` computes a compact generator on its support only."""
+
+    @pytest.mark.parametrize("make", [make_bspline_scaling, make_spline_wavelet])
+    @pytest.mark.parametrize("degree", range(DEGREE_CAP + 1))
+    def test_matches_whole_array_evaluation(self, make, degree):
+        # bytes, so that a -0.0 against a +0.0 counts as a difference
+        spec = make(degree)
+        lo, hi = spec.support
+        near = np.nextafter([lo, lo, hi, hi], [-np.inf, np.inf, -np.inf, np.inf])
+        x = np.array([lo, hi, *near, 0.0, -0.0, 0.3, -1e6, 1e6])
+        assert evaluate(spec, x).tobytes() == _whole_array(spec, x).tobytes()
+        g = Grid(lo - 4.0, 0.125, int((hi - lo + 8.0) / 0.125) + 1)  # hits lo and hi
+        assert sample(spec, g).values.tobytes() == _whole_array(spec, g.abscissas()).tobytes()
+        got, want = evaluate(spec, 0.3), _whole_array(spec, 0.3)
+        assert type(got) is type(want) is np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_outside_support_all_positive_zero(self):
         g = make_grid(10.0, 14.0)
-        f = sample(make_bspline_scaling(3), g)
-        assert np.all(f.values == 0.0)
-        f = sample(make_box(0.0, 1.0), g)
-        assert np.all(f.values == 0.0)
+        for spec in (make_bspline_scaling(3), make_spline_wavelet(3), make_box(0.0, 1.0)):
+            f = sample(spec, g)
+            assert np.all(f.values == 0.0) and not np.any(np.signbit(f.values))
+
+    @pytest.mark.parametrize("make", [make_bspline_scaling, make_spline_wavelet])
+    def test_non_finite_abscissas(self, make):
+        # the whole-array formulas give NaN at +-inf, and the spline wavelet's
+        # also at 1e308, where 2x overflows
+        out = evaluate(make(3), np.array([np.inf, -np.inf, 1e308, -1e308, np.nan]))
+        assert out[:4].tobytes() == np.zeros(4).tobytes()
+        assert np.isnan(out[4])
 
 
 def test_cardinal_bspline_known_values():
