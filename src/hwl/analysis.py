@@ -393,7 +393,11 @@ def partition_deviation(spec: WaveletSpec | PiecewiseConstant, k_range: int,
                   if isinstance(spec, PiecewiseConstant) else spec.support)
         for k in range(math.ceil(max(x[0] - hi, -k_range)),
                        math.floor(min(x[-1] - lo, k_range)) + 1):
-            total += evaluate(spec, x - k)
+            # the samples in [k + lo, k + hi], and one more on each side
+            # for rounding; the translate is +0.0 on every other sample
+            i0 = max(int(np.searchsorted(x, k + lo)) - 1, 0)
+            i1 = int(np.searchsorted(x, k + hi, side="right")) + 1
+            total[i0:i1] += evaluate(spec, x[i0:i1] - k)
         return SampledSignal(grid, total - 1.0)
     shift = 1.0 / grid.step
     if abs(shift - round(shift)) > 1e-9:

@@ -92,14 +92,29 @@ def hilbert_spectral(f: SampledSignal, *, pad_factor: int = 16) -> SampledSignal
     odd.  Padding pushes the kernel's periodic images away from the grid."""
     n = f.grid.count
     total = fft_length(n, pad_factor)
-    r = np.arange(1, n)
-    if 2 * (n - 1) > total:  # pad 1: offsets past N/2 wrap to their periodic image
-        r = np.where(2 * r > total, r - total, r)
-    t = np.pi * r / total
+    # one float buffer holds the offsets r, then t = pi r / N, then the kernel
+    kernel = np.arange(1, n, dtype=np.float64)
+    wrapped = 2 * (n - 1) > total  # pad 1: offsets past N/2 wrap to their periodic image
+    if wrapped:
+        kernel[total // 2:] -= total
+    kernel *= np.pi
+    kernel /= total
     if total % 2 == 0:
-        kernel = np.where(r % 2 == 1, 2.0 / (total * np.tan(t)), 0.0)
+        np.tan(kernel, out=kernel)
+        kernel *= total
+        np.divide(2.0, kernel, out=kernel)
+        kernel[1::2] = 0.0  # even r = i + 1; r - N has the same parity
     else:
-        kernel = (np.cos(t) - np.where(r % 2 == 1, -1.0, 1.0)) / (total * np.sin(t))
+        # (-1)^r for r = i + 1, and for the wrapped r - N, of the other parity
+        sign = np.ones(n - 1)
+        sign[::2] = -1.0
+        if wrapped:
+            sign[total // 2:] *= -1.0
+        sin = np.sin(kernel)
+        sin *= total
+        np.cos(kernel, out=kernel)
+        kernel -= sign
+        kernel /= sin
     return SampledSignal(f.grid, odd_kernel_sum(f.values, kernel))
 
 

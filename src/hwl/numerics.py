@@ -275,8 +275,14 @@ def odd_kernel_sum(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         return np.zeros(n)
     lo, hi = int(nz[0]), int(nz[-1])
     s = hi - lo + 1
-    # k at the offsets i - p = -hi .. n-1-lo (kernel[:hi] is empty at hi = 0)
-    k = np.concatenate((-kernel[:hi][::-1], [0.0], kernel[:n - 1 - lo]))
     size = _smooth_length(n + s - 1)
-    conv = np.fft.irfft(np.fft.rfft(values[lo:hi + 1], size) * np.fft.rfft(k, size), size)
-    return conv[s - 1:s - 1 + n]
+    # k at the offsets i - p = -hi .. n-1-lo, zero-padded to size
+    k = np.zeros(size)
+    np.negative(kernel[:hi][::-1], out=k[:hi])
+    k[hi + 1:n + s - 1] = kernel[:n - 1 - lo]
+    # each size-long buffer is dropped once the next one is made: the
+    # kernel's samples, its spectrum, the product
+    spectrum = np.fft.rfft(k)
+    del k
+    spectrum = np.fft.rfft(values[lo:hi + 1], size) * spectrum
+    return np.fft.irfft(spectrum, size)[s - 1:s - 1 + n]

@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 CSV_HEADER = "x,value"
+_HEADER_LINE = (CSV_HEADER + "\n").encode()
+# signal CSV rows are written this many rows and read this many bytes at a
+# time, so no whole-file list of lines or second copy of the text is held
+_WRITE_BLOCK = 1 << 14
+_READ_BLOCK = 1 << 20
 
 _REPORT_KINDS = {
     "moment_report": MomentReport,
@@ -69,10 +74,15 @@ _REQUIRED = {
 
 
 def write_signal_csv(f: SampledSignal, path) -> None:
-    """Write ``x,value`` rows at full binary64 round-trip precision."""
-    lines = [CSV_HEADER]
-    lines.extend(f"{x:.17g},{v:.17g}" for x, v in zip(f.x().tolist(), f.values.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write ``x,value`` rows at full binary64 round-trip precision,
+    formatted and written :data:`_WRITE_BLOCK` rows at a time."""
+    x, values = f.x(), f.values
+    with open(path, "w") as out:
+        out.write(CSV_HEADER + "\n")
+        for i in range(0, values.shape[0], _WRITE_BLOCK):
+            j = i + _WRITE_BLOCK
+            out.write("".join([f"{a:.17g},{b:.17g}\n"
+                               for a, b in zip(x[i:j].tolist(), values[i:j].tolist())]))
 
 
 def _parse_rows(body: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -94,25 +104,9 @@ def _parse_rows(body: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(xs), np.asarray(vs)
 
 
-def _parse_rows_fast(body: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """The same parse by NumPy's C reader, or None when some row is malformed
-    or holds a field only ``float`` takes; :func:`_parse_rows` then decides."""
-    # float refuses a field with U+001F around it, which loadtxt strips as
-    # whitespace, or with a '#' in it, which loadtxt's default comments='#'
-    # would cut off
-    if "\x1f" in "".join(body):
-        return None
-    try:
-        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if data.shape[1] != 2 or not np.isfinite(data).all():
-        return None
-    return data[:, 0], data[:, 1]
-
-
-def read_signal_csv(path) -> SampledSignal:
-    """Parse a signal CSV; malformed content raises ParseError with the row."""
+def _read_rows(path) -> tuple[np.ndarray, np.ndarray]:
+    """The reference read: the whole text, its non-blank lines, the header
+    checks and then :func:`_parse_rows`."""
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
@@ -124,7 +118,44 @@ def read_signal_csv(path) -> SampledSignal:
         raise ParseError(f"expected header {CSV_HEADER!r}, got {lines[0]!r}", row=1)
     if len(lines) < 3:
         raise ParseError("need at least 2 samples")
-    x_arr, vs = _parse_rows_fast(lines[1:]) or _parse_rows(lines[1:])
+    return _parse_rows(lines[1:])
+
+
+def _parse_rows_fast(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows of a plain signal CSV (ASCII, the exact header line, no blank
+    line) parsed by NumPy's C reader :data:`_READ_BLOCK` bytes at a time, or
+    None for anything else, so that :func:`_read_rows` decides."""
+    # float refuses a field with U+001F around it, which loadtxt strips as
+    # whitespace; a non-ASCII file is left to the locale's decoding
+    if not data.startswith(_HEADER_LINE) or b"\x1f" in data or not data.isascii():
+        return None
+    blocks = []
+    start = len(_HEADER_LINE)
+    while start < len(data):
+        # blocks end after a newline, so splitlines cuts each one as it cuts
+        # the whole text
+        end = data.find(b"\n", start + _READ_BLOCK - 1) + 1 or len(data)
+        lines = data[start:end].decode("ascii").splitlines()
+        if not all(lines):  # a blank line; a block of only those makes loadtxt warn
+            return None
+        try:
+            # comments=None: '#' is no comment for float either
+            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if block.shape[1] != 2 or not np.isfinite(block).all():
+            return None
+        blocks.append(block)
+        start = end
+    if sum(len(b) for b in blocks) < 2:  # the reference refuses this
+        return None
+    rows = np.concatenate(blocks)
+    return rows[:, 0], rows[:, 1]
+
+
+def read_signal_csv(path) -> SampledSignal:
+    """Parse a signal CSV; malformed content raises ParseError with the row."""
+    x_arr, vs = _parse_rows_fast(Path(path).read_bytes()) or _read_rows(path)
     step = (x_arr[-1] - x_arr[0]) / (len(x_arr) - 1)
     if step <= 0:
         raise ParseError("abscissas are not increasing")

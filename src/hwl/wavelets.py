@@ -71,7 +71,7 @@ class PiecewiseConstant:
         out = np.zeros_like(x)
         for a, b, v in zip(self.breakpoints, self.breakpoints[1:], self.levels):
             out = np.where((x >= a) & (x < b), v, out)
-        return out
+        return out[()]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,3 +34,13 @@ def grid_64():
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def traced_peak_mib(fn) -> float:
+    """Peak of the memory ``fn()`` allocates, above what was live before it, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()

@@ -14,6 +14,7 @@ from hwl.errors import (
 from hwl.hilbert import hilbert_box_closed_form, hilbert_spectral
 from hwl.numerics import Grid, SampledSignal, dft, integrate, l2_norm
 from hwl.wavelets import (
+    evaluate,
     make_box,
     make_bspline_scaling,
     make_haar_scaling,
@@ -375,6 +376,22 @@ class TestPartition:
         assert dev.value_at(0.5) == pytest.approx(want, abs=2e-3)
         x = grid_64.abscissas()
         assert np.min(np.abs(dev.values[np.abs(x) <= 2.0])) > 0.9
+
+    # on the last grid, 1 - 2^-53 lies below the box's translate [1, 2.5) by
+    # k = 2, yet (1 - 2^-53) - 2 rounds to -1, inside the box
+    @pytest.mark.parametrize("grid", [Grid(-8.3, 0.1, 171), make_grid(-8.0, 8.0, 0.125),
+                                      Grid(-2.0 ** -53, 0.125, 129)],
+                             ids=["step-0.1", "step-1/8", "rounding"])
+    @pytest.mark.parametrize("spec", [make_bspline_scaling(3), make_haar_scaling(),
+                                      make_box(-1.0, 0.5)], ids=["bspline3", "haar", "box"])
+    @pytest.mark.parametrize("k_range", [0, 3, 50])
+    def test_translates_on_their_slice_match_full_grid_sum(self, grid, spec, k_range):
+        x = grid.abscissas()
+        total = np.zeros(grid.count)
+        for k in range(-k_range, k_range + 1):
+            total += evaluate(spec, x - k)
+        got = analysis.partition_deviation(spec, k_range, False, grid)
+        assert got.values.tobytes() == (total - 1.0).tobytes()
 
     def test_wavelet_spec_rejected(self, grid_16):
         with pytest.raises(InvalidParameterError):

@@ -15,7 +15,9 @@ from hwl.hilbert import (
     hilbert_pv,
     hilbert_spectral,
 )
-from hwl.numerics import Grid, SampledSignal, _smooth_length, derivative, l2_norm
+from hwl.numerics import (
+    Grid, SampledSignal, _smooth_length, derivative, l2_norm, odd_kernel_sum,
+)
 from hwl.wavelets import (
     make_box,
     make_bspline_scaling,
@@ -25,7 +27,7 @@ from hwl.wavelets import (
     sample,
 )
 
-from conftest import STEP, make_grid
+from conftest import STEP, make_grid, traced_peak_mib
 
 
 def _complex_fft_reference(values: np.ndarray, pad: int) -> np.ndarray:
@@ -40,6 +42,18 @@ def _complex_fft_reference(values: np.ndarray, pad: int) -> np.ndarray:
     if total % 2 == 0:
         mult[total // 2] = 0.0
     return np.fft.ifft(np.fft.fft(buf) * mult).real[left:left + count]
+
+
+def _spectral_kernel_reference(count: int, total: int) -> np.ndarray:
+    """The multiplier's discrete kernel at offsets r = 1..count-1, each
+    case a whole-array expression."""
+    r = np.arange(1, count)
+    if 2 * (count - 1) > total:
+        r = np.where(2 * r > total, r - total, r)
+    t = np.pi * r / total
+    if total % 2 == 0:
+        return np.where(r % 2 == 1, 2.0 / (total * np.tan(t)), 0.0)
+    return (np.cos(t) - np.where(r % 2 == 1, -1.0, 1.0)) / (total * np.sin(t))
 
 
 def _direct_pv_sum(values: np.ndarray) -> np.ndarray:
@@ -230,6 +244,22 @@ class TestSpectral:
         want = _complex_fft_reference(f.values, pad)
         got = hilbert_spectral(f, pad_factor=pad).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("count,pad", [
+        (2 ** 12 + 1, 16), (2 ** 12 + 1, 1), (1875, 1), (2000, 1), (2002, 1), (1875, 16),
+        (3, 1), (2, 1),
+    ])
+    def test_kernel_built_in_place_is_the_reference_kernel(self, count, pad):
+        # pad 1 wraps offsets past N/2, which flips their parity when N is odd
+        f = SampledSignal(Grid(0.0, 1.0, count), np.random.default_rng(count).normal(size=count))
+        want = odd_kernel_sum(f.values, _spectral_kernel_reference(count, fft_length(count, pad)))
+        assert hilbert_spectral(f, pad_factor=pad).values.tobytes() == want.tobytes()
+
+    def test_doubled_grid_peak_memory(self):
+        # the certificate's span-doubled cubic wavelet (2^19+1 samples, about
+        # 4 MiB a buffer); a chain of whole-array temporaries takes 24 MiB
+        f = sample(make_spline_wavelet(3), Grid(-256.0, 2.0 ** -10, 2 ** 19 + 1))
+        assert traced_peak_mib(lambda: hilbert_spectral(f)) < 16.0
 
     def test_huge_pad_holds_no_buffer(self):
         # N = fft_length(count, 10**18) is far beyond memory; the engine only

@@ -10,6 +10,7 @@ from hwl.numerics import (
     Grid,
     SampledSignal,
     Spectrum,
+    _smooth_length,
     check_integer,
     dft,
     derivative,
@@ -82,6 +83,18 @@ def _odd_kernel_loop(values, kernel):
     return out
 
 
+def _odd_kernel_concatenated(values, kernel):
+    """odd_kernel_sum with k built by concatenation and padded by rfft."""
+    n = len(values)
+    nz = np.flatnonzero(values)
+    lo, hi = int(nz[0]), int(nz[-1])
+    s = hi - lo + 1
+    k = np.concatenate((-kernel[:hi][::-1], [0.0], kernel[:n - 1 - lo]))
+    size = _smooth_length(n + s - 1)
+    conv = np.fft.irfft(np.fft.rfft(values[lo:hi + 1], size) * np.fft.rfft(k, size), size)
+    return conv[s - 1:s - 1 + n]
+
+
 class TestOddKernelSum:
     @pytest.mark.parametrize("values", [
         [0.0] * 7,                      # all zero
@@ -107,6 +120,18 @@ class TestOddKernelSum:
             kernel = rng.normal(size=n - 1)
             np.testing.assert_allclose(odd_kernel_sum(values, kernel),
                                        _odd_kernel_loop(values, kernel), rtol=0, atol=1e-12)
+
+    def test_zeroed_buffer_matches_concatenated_kernel(self):
+        # the kernel written into a zeroed FFT-length buffer gives the same
+        # bytes as the concatenated one zero-padded by rfft
+        rng = np.random.default_rng(6)
+        for n in (2, 3, 17, 1000, 4097):
+            for lo, hi in ((0, n - 1), (0, 0), (n - 1, n - 1), (n // 3, n // 2)):
+                values = np.zeros(n)
+                values[lo:hi + 1] = rng.normal(size=hi - lo + 1)
+                kernel = rng.normal(size=n - 1)
+                assert (odd_kernel_sum(values, kernel).tobytes()
+                        == _odd_kernel_concatenated(values, kernel).tobytes())
 
 
 class TestCheckInteger:

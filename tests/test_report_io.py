@@ -24,7 +24,7 @@ from hwl.report_io import (
 )
 from hwl.wavelets import make_bspline_scaling, make_spline_wavelet, sample
 
-from conftest import rng
+from conftest import rng, traced_peak_mib
 from test_cli import _CSV
 
 
@@ -53,6 +53,27 @@ class TestSignalCsv:
         lines = p.read_text().splitlines()
         assert lines[0] == "x,value"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None])
+    def test_blocks_write_the_one_shot_bytes(self, tmp_path, extra):
+        block = report_io._WRITE_BLOCK
+        count = 2 * block + 1 if extra is None else block + extra
+        sig = SampledSignal(Grid(-1.25, 1.0 / 3.0, count), rng(count).normal(size=count))
+        rows = [f"{x:.17g},{v:.17g}" for x, v in zip(sig.x().tolist(), sig.values.tolist())]
+        p = tmp_path / "sig.csv"
+        write_signal_csv(sig, p)
+        assert p.read_bytes() == ("\n".join(["x,value", *rows]) + "\n").encode()
+
+    @pytest.mark.parametrize("block", [1, 5, 40, None])
+    def test_fast_parse_takes_a_plain_file_in_any_block(self, tmp_path, awkward_signal, block):
+        p = tmp_path / "sig.csv"
+        write_signal_csv(awkward_signal, p)
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(report_io, "_READ_BLOCK", block)
+            x, v = report_io._parse_rows_fast(p.read_bytes())
+        assert x.tobytes() == awkward_signal.x().tobytes()
+        assert v.tobytes() == awkward_signal.values.tobytes()
 
     def test_shuffled_x_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -129,6 +150,21 @@ class TestSignalCsv:
 def test_fast_parse_matches_row_parser(tmp_path_factory, csv):
     """NumPy's parse returns what the row-by-row parser returns, bit for
     bit, or lets it raise the same error for the same row."""
+    _assert_fast_parse_matches_row_parser(tmp_path_factory, csv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv=_CSV, block=st.integers(1, 64))
+@example(csv=b"x,value\n0,1\n1,2\n2,3\n3,4\n", block=4)
+def test_fast_parse_matches_row_parser_in_small_blocks(tmp_path_factory, csv, block):
+    """The same with the reader's block cut to a few bytes, so that rows and
+    line ends straddle block boundaries."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report_io, "_READ_BLOCK", block)
+        _assert_fast_parse_matches_row_parser(tmp_path_factory, csv)
+
+
+def _assert_fast_parse_matches_row_parser(tmp_path_factory, csv):
     path = tmp_path_factory.getbasetemp() / "fast_parse.csv"
     path.write_bytes(csv)
 
@@ -141,8 +177,27 @@ def test_fast_parse_matches_row_parser(tmp_path_factory, csv):
 
     fast = outcome()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(report_io, "_parse_rows_fast", lambda body: None)
+        mp.setattr(report_io, "_parse_rows_fast", lambda data: None)
         assert outcome() == fast
+
+
+class TestSignalCsvMemory:
+    """Peak traced allocation of the CSV writer and reader on the 2^18+1-sample
+    spectral transform of the cubic wavelet, a file of about 9 MiB; a list of
+    every row or line, one str each, would take over 40 MiB."""
+
+    @pytest.fixture(scope="class")
+    def transform(self):
+        grid = Grid(-128.0, 2.0 ** -10, 2 ** 18 + 1)
+        return hilbert_spectral(sample(make_spline_wavelet(3), grid))
+
+    def test_writer_holds_a_block(self, tmp_path, transform):
+        assert traced_peak_mib(lambda: write_signal_csv(transform, tmp_path / "h.csv")) < 8.0
+
+    def test_reader_holds_the_bytes_once(self, tmp_path, transform):
+        p = tmp_path / "h.csv"
+        write_signal_csv(transform, p)
+        assert traced_peak_mib(lambda: read_signal_csv(p)) < 24.0
 
 
 def sample_reports(grid):

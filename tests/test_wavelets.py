@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hwl.cli import GENERATORS
 from hwl.errors import InvalidParameterError
 from hwl.numerics import Grid, SampledSignal, integrate, l2_norm
 from hwl.wavelets import (
@@ -245,3 +246,18 @@ def test_cardinal_bspline_known_values():
     np.testing.assert_allclose(
         cardinal_bspline(4, np.array([1.0, 2.0, 3.0])), [1 / 6, 2 / 3, 1 / 6]
     )
+
+
+# parameters for each cli.GENERATORS entry
+_GENERATOR_PARAMS = {
+    "haar-scaling": (), "haar-wavelet": (), "bspline-scaling": (2,), "spline-wavelet": (3,),
+    "sinc2-cos": (3.0,), "gauss-cos": (1.0, 3.0), "box": (-0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_scalar_abscissa_gives_numpy_scalar(name):
+    factory, _, _ = GENERATORS[name]
+    spec = factory(*_GENERATOR_PARAMS[name])
+    for x in (0.25, -0.75, 100.0):  # inside and outside the supports
+        assert type(evaluate(spec, x)) is np.float64
