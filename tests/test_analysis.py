@@ -14,6 +14,7 @@ from hwl.errors import (
 from hwl.hilbert import hilbert_box_closed_form, hilbert_spectral
 from hwl.numerics import Grid, SampledSignal, dft, integrate, l2_norm
 from hwl.wavelets import (
+    DEGREE_CAP,
     evaluate,
     make_box,
     make_bspline_scaling,
@@ -24,7 +25,7 @@ from hwl.wavelets import (
     sample,
 )
 
-from conftest import STEP, make_grid
+from conftest import STEP, make_grid, rng, traced_peak_mib
 
 GAMMA_GRID = (0.0, 0.75, 1.5, 2.0, 2.75, 3.0, 3.25, 4.0)
 
@@ -190,6 +191,140 @@ class TestCertificates:
         phi = sample(make_bspline_scaling(3), grid_16)
         with pytest.raises(InvalidParameterError, match="integer"):
             analysis.theorem_certificate(phi, phi, 1.5)
+
+
+def _weighted_reference(f, power):
+    """x^power * f as one whole-grid expression: the reference for the
+    sliced ``_weighted_signal``."""
+    return f.x() ** power * f.values
+
+
+def _constant_reference(hpsi, n, norm_sum):
+    """The certificate's constant as one whole-grid expression: the
+    reference for the candidate search in ``_empirical_constant``."""
+    x = hpsi.x()
+    return float(np.max(np.abs(hpsi.values) * (1.0 + np.abs(x) ** (n + 1))) / norm_sum)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _raised(fn):
+    """(type, message) of the floating-point error ``fn`` raises under the
+    CLI's ``np.errstate``."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(FloatingPointError) as info:
+            fn()
+    return type(info.value), str(info.value)
+
+
+def _signed_zero_signal():
+    """A cubic wavelet on a grid of negative abscissas only, negated (so its
+    zeros are -0.0) and with every other zero set back to +0.0, so both
+    signs of zero lie outside its nonzero slice."""
+    grid = Grid(-12.0, 2.0 ** -6, 513)
+    v = -sample(make_spline_wavelet(3), Grid(-4.0, 2.0 ** -6, 513)).values
+    v[(v == 0.0) & (np.arange(v.size) % 2 == 0)] = 0.0
+    assert np.signbit(v[v == 0.0]).any() and not np.signbit(v[v == 0.0]).all()
+    return SampledSignal(grid, v)
+
+
+class TestExactPowers:
+    """The certificate's and the moments' powers of x, computed on fewer
+    samples, match the whole-grid expressions bit for bit."""
+
+    SIGNALS = {
+        "compact": lambda: sample(make_spline_wavelet(3), make_grid(-16.0, 16.0)),
+        "signed-zeros": _signed_zero_signal,
+        # nonzero at the left end only: the slice starts at sample 0
+        "left-edge": lambda: sample(make_spline_wavelet(3), Grid(1.0, 2.0 ** -6, 1025)),
+        "all-zero": lambda: SampledSignal(make_grid(-4.0, 4.0), np.zeros(2049)),
+        "dense": lambda: SampledSignal(make_grid(-2.0, 2.0), rng(5).normal(size=1025)),
+    }
+
+    @pytest.mark.parametrize("name", SIGNALS)
+    @pytest.mark.parametrize("power", range(DEGREE_CAP + 3))
+    def test_weighted_signal_bits(self, name, power):
+        f = self.SIGNALS[name]()
+        got = analysis._weighted_signal(f, power).values
+        np.testing.assert_array_equal(_bits(got), _bits(_weighted_reference(f, power)))
+
+    @pytest.fixture(scope="class")
+    def hpsi_pairs(self, grid_16):
+        psi = sample(make_spline_wavelet(3), grid_16)
+        return {"compact": psi, "dense": hilbert_spectral(psi)}
+
+    @pytest.mark.parametrize("name", ["compact", "dense", "flat"])
+    @pytest.mark.parametrize("n", range(DEGREE_CAP + 2))
+    def test_empirical_constant_bits(self, hpsi_pairs, grid_16, name, n):
+        if name == "flat":
+            # |h| (1 + |x|^(n+1)) is 1 up to rounding on every sample, so the
+            # largest of them is decided in the last bits
+            x = grid_16.abscissas()
+            hpsi = SampledSignal(grid_16, 1.0 / (1.0 + np.abs(x) ** (n + 1)))
+        else:
+            hpsi = hpsi_pairs[name]
+        got = analysis._empirical_constant(hpsi, n, 1.7)
+        assert _bits(got) == _bits(_constant_reference(hpsi, n, 1.7))
+
+    @pytest.mark.parametrize("n", [7, 11, 21])
+    def test_candidates_keep_a_sample_the_approximation_ranks_lower(self, grid_16, n):
+        # at sample i, k - 1 multiplications put 1 + |x|^k at least 2 ulps
+        # above 1 + pow(|x|, k); sample j sits at x = 1, its exact value in
+        # between, so the approximation ranks i first and the exact
+        # expression j
+        k = n + 1
+        a = np.abs(grid_16.abscissas())
+        chain = a.copy()
+        for _ in range(k - 1):
+            chain *= a
+        exact = 1.0 + a ** k
+        gap = (1.0 + chain).view(np.int64) - exact.view(np.int64)
+        i = int(np.argmax(gap))
+        assert gap[i] >= 2
+        v = np.zeros(grid_16.count)
+        v[i] = 1.0
+        v[grid_16.index_of(1.0)] = np.nextafter(exact[i], np.inf) / 2.0
+        hpsi = SampledSignal(grid_16, v)
+        want = np.nextafter(exact[i], np.inf)
+        assert analysis._empirical_constant(hpsi, n, 1.0) == _constant_reference(hpsi, n, 1.0) == want
+
+    @pytest.mark.parametrize("power", [400, 2])
+    def test_weighted_signal_overflow_raises_as_before(self, power):
+        # |x|^400 overflows at the ends of [-16, 16], |x|^2 at those of
+        # [-1e200, 1e200]; the wavelet is nonzero on a few central samples
+        grid = make_grid(-16.0, 16.0) if power == 400 else Grid(-1e200, 1e198, 2001)
+        f = SampledSignal(grid, np.where(np.abs(np.arange(grid.count) - grid.count // 2) < 3,
+                                         1.0, 0.0))
+        assert _raised(lambda: analysis._weighted_signal(f, power)) == \
+            _raised(lambda: _weighted_reference(f, power))
+
+    @pytest.mark.parametrize("case", ["order-399", "huge-x", "huge-h", "all-zero"])
+    def test_empirical_constant_overflow_raises_as_before(self, hpsi_pairs, case):
+        hpsi, n, norm_sum = hpsi_pairs["dense"], 1, 1.0
+        if case == "order-399":
+            n = 399
+        elif case == "huge-x":
+            grid = Grid(-1e200, 1e198, 2001)
+            hpsi = SampledSignal(grid, np.linspace(1.0, 2.0, grid.count))
+        elif case == "huge-h":
+            # the weights are at most 1 + 16^4, finite, but |h| times them is not
+            hpsi = SampledSignal(hpsi.grid, np.full(hpsi.grid.count, 1e305))
+            n = 3
+        else:
+            hpsi, norm_sum = SampledSignal(hpsi.grid, np.zeros(hpsi.grid.count)), 0.0
+        assert _raised(lambda: analysis._empirical_constant(hpsi, n, norm_sum)) == \
+            _raised(lambda: _constant_reference(hpsi, n, norm_sum))
+
+    def test_certificate_memory(self):
+        # the 2^18+1-sample cubic-wavelet pair of the CLI pipeline; the
+        # whole-grid expressions peaked at 24.0 MiB, the candidate search at
+        # 20.1 MiB (the doubled grid's transform dominates): 2 MiB of margin
+        grid = Grid(-128.0, 2.0 ** -10, 2 ** 18 + 1)
+        psi = sample(make_spline_wavelet(3), grid)
+        hpsi = hilbert_spectral(psi)
+        assert traced_peak_mib(lambda: analysis.theorem_certificate(psi, hpsi, 4)) < 22.0
 
 
 class TestTailLimit:

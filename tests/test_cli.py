@@ -282,6 +282,25 @@ class TestAnalyze:
         assert_refused(capsys, ["analyze", *argv, "--json", tmp_path / "r.json"], 2)
         assert not (tmp_path / "r.json").exists()
 
+    # |x|^401 and, from order 256 on, |x|^k overflow at the ends of
+    # [-16, 16], though not on the wavelet's support; the zero signal's
+    # constant is 0/0
+    @pytest.mark.parametrize("argv, message", [
+        (["certificate", "--psi", "SIGNAL", "--hpsi", "SIGNAL", "--order", 400],
+         "overflow encountered in power"),
+        (["moments", "--in", "SIGNAL", "--max-order", 400], "overflow encountered in power"),
+        (["certificate", "--psi", "ZERO", "--hpsi", "ZERO", "--order", 2],
+         "invalid value encountered in scalar divide"),
+    ], ids=["certificate-order-400", "moments-order-400", "certificate-zero"])
+    def test_overflowing_power_names_the_operation(self, tmp_path, capsys, small_signal,
+                                                   argv, message):
+        zero = tmp_path / "zero.csv"
+        write_signal_csv(SampledSignal(Grid(-4.0, 0.0625, 129), np.zeros(129)), zero)
+        argv = [{"SIGNAL": small_signal, "ZERO": zero}.get(a, a) for a in argv]
+        err = assert_refused(capsys, ["analyze", *argv, "--json", tmp_path / "r.json"], 2)
+        assert err == f"hwl: arithmetic out of range ({message}); check the inputs and options\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_negative_tolerance_is_usage_error(self, tmp_path, capsys, small_signal):
         err = assert_refused(capsys, ["analyze", "moments", "--in", small_signal,
                                       "--max-order", 2, "--tolerance", -1,

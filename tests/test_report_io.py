@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hwl import analysis, report_io
+from hwl import analysis, cli, report_io
 from hwl.errors import InvalidParameterError, ParseError, SchemaError
 from hwl.hilbert import hilbert_spectral
 from hwl.numerics import Grid, SampledSignal
@@ -54,11 +54,20 @@ class TestSignalCsv:
         assert lines[0] == "x,value"
         assert len(lines) == 4
 
-    @pytest.mark.parametrize("extra", [-1, 0, 1, None])
+    # -0.0, the least subnormal, the largest float, and 1e16 and 1e17, where
+    # %.17g turns from positional to exponent form
+    AWKWARD_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                      9999999999999998.0, 1e16, 1e17]
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None,
+                                       pytest.param(2 - report_io._WRITE_BLOCK, id="2-rows")])
     def test_blocks_write_the_one_shot_bytes(self, tmp_path, extra):
         block = report_io._WRITE_BLOCK
         count = 2 * block + 1 if extra is None else block + extra
-        sig = SampledSignal(Grid(-1.25, 1.0 / 3.0, count), rng(count).normal(size=count))
+        values = rng(count).normal(size=count)
+        awkward = self.AWKWARD_VALUES[:count]
+        values[:len(awkward)] = awkward
+        sig = SampledSignal(Grid(-1.25, 1.0 / 3.0, count), values)
         rows = [f"{x:.17g},{v:.17g}" for x, v in zip(sig.x().tolist(), sig.values.tolist())]
         p = tmp_path / "sig.csv"
         write_signal_csv(sig, p)
@@ -343,3 +352,33 @@ class TestFigures:
         sig = sample(make_bspline_scaling(1), grid_8)
         with pytest.raises(InvalidParameterError):
             PanelSpec(curves=((sig, "dashed"),))
+
+    # an empty range divides by zero, NaN writes "nan" coordinates, an
+    # infinite end warns, and lo > hi flips the plot
+    @pytest.mark.parametrize("y_range", [(1.0, 1.0), (math.nan, 1.0), (0.0, math.inf),
+                                         (5.0, -5.0), (0.0,), ("0", "1")])
+    def test_bad_y_range_rejected(self, grid_8, y_range):
+        sig = sample(make_bspline_scaling(1), grid_8)
+        with pytest.raises(InvalidParameterError, match="y_range"):
+            PanelSpec(curves=((sig, "original"),), y_range=y_range)
+
+    @pytest.mark.parametrize("figure_id", sorted(cli.FIGURES))
+    def test_points_template_writes_the_formatted_bytes(self, tmp_path, monkeypatch,
+                                                        figure_id):
+        panels = cli.FIGURES[figure_id]()
+        render_figure(panels, tmp_path / "template.svg")
+        monkeypatch.setattr(report_io, "_polyline", _polyline_reference)
+        render_figure(panels, tmp_path / "reference.svg")
+        assert (tmp_path / "template.svg").read_bytes() == \
+            (tmp_path / "reference.svg").read_bytes()
+
+
+def _polyline_reference(x, y, x0, x1, y0, y1, ox, oy) -> str:
+    """SVG points formatted one NumPy scalar at a time: the reference for
+    the one-template ``_polyline``."""
+    stride = max(1, len(x) // report_io._MAX_POINTS)
+    xs = x[::stride]
+    ys = np.clip(y[::stride], y0, y1)
+    px = ox + (xs - x0) / (x1 - x0) * report_io._PANEL_W
+    py = oy + report_io._PANEL_H - (ys - y0) / (y1 - y0) * report_io._PANEL_H
+    return " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
