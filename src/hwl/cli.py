@@ -21,6 +21,7 @@ refusal, argparse's included, is one ``hwl:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import re
@@ -324,6 +325,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{command}: {message}" if command else message)
 
 
+# built at the first call, not at import, and kept: argparse's parse does
+# not change the parser, and building one costs milliseconds per command
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hwl",

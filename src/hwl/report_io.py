@@ -22,8 +22,10 @@ plotting dependency.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,13 +47,11 @@ __all__ = [
 
 CSV_HEADER = "x,value"
 _HEADER_LINE = (CSV_HEADER + "\n").encode()
-# signal CSV rows are written this many rows and read this many bytes at a
-# time, so no whole-file list of lines or second copy of the text is held;
-# a block's template, float tuple and text stay under 100 KiB, and blocks
-# of 2^14 rows formatted no faster yet left a repeated CLI chain's peak RSS
-# about 1 MiB higher
+# signal CSV rows are written this many at a time: a block's template, float
+# tuple and text stay under 100 KiB, and blocks of 2^14 rows formatted no
+# faster yet left a repeated CLI chain's peak RSS about 1 MiB higher
 _WRITE_BLOCK = 1 << 11
-_READ_BLOCK = 1 << 20
+_ROW_START = re.compile(rb"[^\r\n]")  # the first byte of a row after the header
 
 _REPORT_KINDS = {
     "moment_report": MomentReport,
@@ -132,51 +132,50 @@ def _read_rows(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _parse_rows_fast(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """The rows of a plain signal CSV (ASCII, the exact header line, no blank
-    line) parsed by NumPy's C reader :data:`_READ_BLOCK` bytes at a time, or
-    None for anything else, so that :func:`_read_rows` decides."""
-    # float refuses a field with U+001F around it, which loadtxt strips as
-    # whitespace; a non-ASCII file is left to the locale's decoding
-    if not data.startswith(_HEADER_LINE) or b"\x1f" in data or not data.isascii():
+    """The rows of a plain signal CSV parsed by NumPy's C reader in one pass
+    over ``data``; None, so that :func:`_read_rows` decides, for a file
+    without the exact header line, with a non-ASCII byte (left to the
+    locale's decoding) or with fewer than 2 rows (none makes loadtxt warn)."""
+    # loadtxt strips these as whitespace inside a row, where str.splitlines
+    # ends a line (\v, \f, U+001C-U+001E) or float refuses the field (U+001F)
+    if (not data.startswith(_HEADER_LINE) or not data.isascii()
+            or any(byte in data for byte in b"\x0b\x0c\x1c\x1d\x1e\x1f")
+            or _ROW_START.search(data, len(_HEADER_LINE)) is None):
         return None
-    blocks = []
-    start = len(_HEADER_LINE)
-    while start < len(data):
-        # blocks end after a newline, so splitlines cuts each one as it cuts
-        # the whole text
-        end = data.find(b"\n", start + _READ_BLOCK - 1) + 1 or len(data)
-        lines = data[start:end].decode("ascii").splitlines()
-        if not all(lines):  # a blank line; a block of only those makes loadtxt warn
-            return None
+    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii") as text:
         try:
             # comments=None: '#' is no comment for float either
-            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            rows = np.loadtxt(text, delimiter=",", comments=None, skiprows=1, ndmin=2)
         except ValueError:
             return None
-        if block.shape[1] != 2 or not np.isfinite(block).all():
-            return None
-        blocks.append(block)
-        start = end
-    if sum(len(b) for b in blocks) < 2:  # the reference refuses this
+    if rows.shape[1] != 2 or len(rows) < 2 or not np.isfinite(rows).all():
         return None
-    rows = np.concatenate(blocks)
     return rows[:, 0], rows[:, 1]
 
 
 def read_signal_csv(path) -> SampledSignal:
     """Parse a signal CSV; malformed content raises ParseError with the row."""
     x_arr, vs = _parse_rows_fast(Path(path).read_bytes()) or _read_rows(path)
-    step = (x_arr[-1] - x_arr[0]) / (len(x_arr) - 1)
-    if step <= 0:
-        raise ParseError("abscissas are not increasing")
-    deviation = np.abs(np.diff(x_arr) - step)
+    # finite abscissas may span past the float range, which the grid
+    # refuses, or step past it, which reads as an infinite deviation
+    with np.errstate(over="ignore"):
+        step = (x_arr[-1] - x_arr[0]) / (len(x_arr) - 1)
+        if step <= 0:
+            raise ParseError("abscissas are not increasing")
+        try:
+            grid = Grid(float(x_arr[0]), float(step), len(x_arr))
+        except InvalidParameterError as exc:
+            raise ParseError(f"abscissa span overflows: {exc}") from None
+        deviation = np.diff(x_arr)
+        deviation -= step
+    np.abs(deviation, out=deviation)
     worst = int(np.argmax(deviation))
     if deviation[worst] > 1e-9 * abs(step):
         raise ParseError(
             f"non-uniform grid: spacing deviates by {deviation[worst]:.3e} from {step}",
             row=worst + 3,  # header + 1-based + diff offset
         )
-    return SampledSignal(Grid(float(x_arr[0]), float(step), len(x_arr)), vs)
+    return SampledSignal(grid, vs)
 
 
 def _jsonable(value):

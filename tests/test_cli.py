@@ -150,6 +150,16 @@ class TestHilbert:
         assert run(["hilbert", "--method", "pv", "--in", bad,
                     "--out", tmp_path / "o.csv"]) == 3
 
+    # finite abscissas whose span or one adjacent difference overflows
+    @pytest.mark.parametrize("method", ["pv", "spectral"])
+    @pytest.mark.parametrize("xs", [[-1.7e308, 1.7e308], [0.0, 1.7e308, -1.7e308, 3.0]])
+    def test_overflowing_abscissas_are_data_error(self, tmp_path, capsys, method, xs):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("x,value\n" + "".join(f"{x!r},0\n" for x in xs))
+        assert_refused(capsys, ["hilbert", "--method", method, "--in", huge,
+                                "--out", tmp_path / "o.csv"], 3)
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestAnalyze:
     @pytest.fixture
@@ -414,6 +424,46 @@ def test_negative_values_parse_as_separate_tokens():
             assert getattr(args, action.dest) == (-2.5 if value == "-2.5e0" else value), argv
             checked += 1
     assert checked >= 16
+
+
+def test_one_parser_serves_every_command(tmp_path, capsys, small_signal):
+    """Refused and valid commands in turn, across subcommands: the parser
+    built once per process gives each the exit code, stderr and files that
+    a parser built for it alone gives."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,value\n0,1\n")
+    commands = [
+        ["gen", "--wavelet", "spline-wavelet,2", "--grid", "-4:4:0.25", "--out", "{out}"],
+        ["gen", "--wavelet", "nosuch", "--grid", "-4:4:0.25", "--out", "{out}"],
+        ["hilbert", "--method", "spectral", "--in", small_signal, "--out", "{out}"],
+        ["hilbert", "--method", "fourier", "--in", small_signal, "--out", "{out}"],
+        ["hilbert", "--method", "pv", "--in", bad, "--out", "{out}"],
+        ["analyze", "moments", "--in", small_signal, "--max-order", "3", "--json", "{out}"],
+        ["analyze", "moments", "--in", small_signal, "--json", "{out}"],
+        ["analyze", "sobolev", "--in", small_signal, "--gammas", "0,1", "--json", "{out}"],
+        ["analyze", "nosuch", "--json", "{out}"],
+        ["figure", "--id", "2", "--out", "{out}"],
+        ["figure", "--id", "9", "--out", "{out}"],
+        [],
+    ]
+
+    def outcomes(tag):
+        results = []
+        for i, argv in enumerate(commands):
+            work = tmp_path / f"{tag}{i}"
+            work.mkdir()
+            code = run([str(a).replace("{out}", str(work / "out")) for a in argv])
+            files = {f.name: f.read_bytes() for f in sorted(work.iterdir())}
+            results.append((code, capsys.readouterr().err, files))
+        return results
+
+    assert cli._build_parser() is cli._build_parser()
+    once = outcomes("once")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert outcomes("fresh") == once
+    assert [code for code, _, _ in once] == [0, 2, 0, 2, 3, 0, 2, 0, 2, 0, 2, 2]
+    assert all(err.startswith("hwl: ") == bool(code) for code, err, _ in once)
 
 
 def _mostly(sane, junk=_FIELD):
