@@ -451,8 +451,7 @@ def partition_deviation(spec: WaveletSpec | PiecewiseConstant, k_range: int,
     total = np.zeros(grid.count)
     if not transformed:
         # only the translates whose support meets the grid add anything
-        lo, hi = ((spec.breakpoints[0], spec.breakpoints[-1])
-                  if isinstance(spec, PiecewiseConstant) else spec.support)
+        lo, hi = spec.support
         for k in range(math.ceil(max(x[0] - hi, -k_range)),
                        math.floor(min(x[-1] - lo, k_range)) + 1):
             # the samples in [k + lo, k + hi], and one more on each side

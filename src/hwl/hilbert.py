@@ -125,6 +125,8 @@ def hilbert_box_closed_form(p: PiecewiseConstant, x) -> float | np.ndarray:
 
     Raises :class:`SingularPointError` when any evaluation point coincides
     with a breakpoint, where the transform has a logarithmic singularity.
+    The transform decays like integral(f)/(pi x), so it is exactly 0.0 at
+    an infinite abscissa; a NaN abscissa gives NaN.
     """
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -132,7 +134,11 @@ def hilbert_box_closed_form(p: PiecewiseConstant, x) -> float | np.ndarray:
     if np.any(np.isin(x, bp)):
         offending = x[np.isin(x, bp)][0]
         raise SingularPointError(f"x = {offending} is a breakpoint of the step function")
-    out = np.zeros_like(x)
+    finite = ~np.isinf(x)  # NaN included, to give NaN
+    xf = x[finite]
+    hf = np.zeros_like(xf)
     for a, b, v in zip(p.breakpoints, p.breakpoints[1:], p.levels):
-        out += (v / np.pi) * np.log(np.abs((x - a) / (x - b)))
+        hf += (v / np.pi) * np.log(np.abs((xf - a) / (xf - b)))
+    out = np.zeros_like(x)
+    out[finite] = hf
     return float(out[0]) if scalar else out

@@ -2,9 +2,8 @@
 
 Haar family and boxes are exact step functions (:class:`PiecewiseConstant`);
 B-spline scaling functions and compactly supported semi-orthogonal spline
-wavelets are evaluated through the Cox-de Boor recursion, at the abscissas
-inside their support only; modulated windows cover the bandlimited (sinc^2)
-and effectively-bandlimited (Gaussian) cases.
+wavelets are evaluated through the Cox-de Boor recursion; modulated windows
+cover the bandlimited (sinc^2) and effectively-bandlimited (Gaussian) cases.
 
 Conventions:
 
@@ -14,8 +13,11 @@ Conventions:
   the autocorrelation identity for cardinal B-splines, so the scaling is
   grid-independent and bit-reproducible;
 * step functions use half-open intervals [a, b) throughout;
-* a compactly supported generator is exactly +0.0 outside its support,
-  at infinite abscissas too, and NaN at a NaN abscissa.
+* every compactly supported generator, step functions included, has a
+  ``support`` (lo, hi); :func:`evaluate` computes it at the abscissas in
+  [lo, hi] only, and it is exactly +0.0 outside, at infinite abscissas too;
+* a NaN abscissa gives NaN for the spline kinds and the modulated windows,
+  and 0.0 for step functions.
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ DEGREE_CAP = 20
 
 @dataclass(frozen=True)
 class PiecewiseConstant:
-    """Step function: ``levels[i]`` on ``[breakpoints[i], breakpoints[i+1])``, 0 outside."""
+    """Step function: ``levels[i]`` on ``[breakpoints[i], breakpoints[i+1])``, 0 outside.
+
+    Breakpoints and levels must be finite; evaluate with :func:`evaluate`.
+    """
 
     breakpoints: tuple[float, ...]
     levels: tuple[float, ...]
@@ -61,17 +66,19 @@ class PiecewiseConstant:
             raise InvalidParameterError(
                 f"need len(breakpoints) == len(levels)+1, got {len(bp)} and {len(lv)}"
             )
+        if not all(math.isfinite(v) for v in bp + lv):
+            raise InvalidParameterError(
+                f"breakpoints and levels must be finite, got {bp} and {lv}"
+            )
         if not all(a < b for a, b in zip(bp, bp[1:])):
             raise InvalidParameterError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "levels", lv)
 
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = np.zeros_like(x)
-        for a, b, v in zip(self.breakpoints, self.breakpoints[1:], self.levels):
-            out = np.where((x >= a) & (x < b), v, out)
-        return out[()]
+    @property
+    def support(self) -> tuple[float, float]:
+        """The first and last breakpoint."""
+        return self.breakpoints[0], self.breakpoints[-1]
 
 
 @dataclass(frozen=True)
@@ -225,8 +232,13 @@ def make_modulated_window(window_kind: str, omega0: float, phase: float = 0.0,
     )
 
 
-def _formula(spec: WaveletSpec, x: np.ndarray) -> np.ndarray:
+def _formula(spec: WaveletSpec | PiecewiseConstant, x: np.ndarray) -> np.ndarray:
     # the per-kind formula, at every abscissa it is given
+    if isinstance(spec, PiecewiseConstant):
+        out = np.zeros_like(x)
+        for a, b, v in zip(spec.breakpoints, spec.breakpoints[1:], spec.levels):
+            out = np.where((x >= a) & (x < b), v, out)
+        return out
     if spec.kind == "bspline_scaling":
         return cardinal_bspline(spec.degree + 1, x + (spec.degree + 1) / 2.0)
     if spec.kind == "spline_wavelet":
@@ -252,11 +264,10 @@ def evaluate(spec: WaveletSpec | PiecewiseConstant, x) -> np.ndarray:
 
     A generator with a compact ``support`` is computed at the abscissas in
     it only and is exactly +0.0 outside it, an infinite abscissa included;
-    a NaN abscissa gives NaN.  A scalar ``x`` gives a NumPy scalar.
+    a NaN abscissa gives NaN, or 0.0 for a step function.  A scalar ``x``
+    gives a NumPy scalar.
     """
     x = np.asarray(x, dtype=np.float64)
-    if isinstance(spec, PiecewiseConstant):
-        return spec(x)
     if spec.support is None:
         return _formula(spec, x)
     lo, hi = spec.support

@@ -92,6 +92,34 @@ class TestClosedForm:
             hilbert_box_closed_form(make_haar_wavelet(), 1.0)
         with pytest.raises(SingularPointError):
             hilbert_box_closed_form(make_haar_wavelet(), np.array([2.0, 0.0]))
+        with pytest.raises(SingularPointError):
+            hilbert_box_closed_form(make_haar_wavelet(), np.array([np.inf, -1.0]))
+
+    @pytest.mark.parametrize("p", [make_haar_wavelet(), make_box(-0.5, 2.0)],
+                             ids=["haar", "box"])
+    def test_infinite_abscissa_is_zero(self, p):
+        # the transform decays like integral(f)/(pi x), and used to give NaN
+        # with an "invalid value" warning from inf/inf
+        for x in (np.inf, -np.inf):
+            got = hilbert_box_closed_form(p, x)
+            assert type(got) is float and math.copysign(1.0, got) == 1.0 and got == 0.0
+        got = hilbert_box_closed_form(p, np.array([-np.inf, np.inf]))
+        assert got.tobytes() == np.zeros(2).tobytes()
+
+    @pytest.mark.parametrize("p", [make_haar_wavelet(), make_box(-0.5, 2.0)],
+                             ids=["haar", "box"])
+    def test_finite_and_nan_abscissas_unchanged(self, p):
+        # the piecewise-log sum on every finite abscissa, whatever else the
+        # array holds; NaN stays NaN
+        x = np.array([-1e6, -3.0, -0.75, 0.25, 1.5, 7.0, 1e6])
+        want = np.zeros_like(x)
+        for a, b, v in zip(p.breakpoints, p.breakpoints[1:], p.levels):
+            want += (v / np.pi) * np.log(np.abs((x - a) / (x - b)))
+        mixed = np.concatenate(([np.inf], x, [np.nan, -np.inf]))
+        got = hilbert_box_closed_form(p, mixed)
+        assert got[1:-2].tobytes() == want.tobytes()
+        assert np.isnan(got[-2]) and math.isnan(hilbert_box_closed_form(p, np.nan))
+        assert hilbert_box_closed_form(p, x).tobytes() == want.tobytes()
 
 
 class TestPv:

@@ -45,6 +45,35 @@ class TestPiecewiseConstant:
         with pytest.raises(InvalidParameterError):
             PiecewiseConstant(breakpoints=(0.0, 1.0), levels=(1.0, 2.0))
 
+    @pytest.mark.parametrize("breakpoints, levels", [
+        ((-np.inf, 0.0), (1.0,)), ((0.0, np.inf), (1.0,)), ((np.nan, 1.0), (1.0,)),
+        ((0.0, 1.0), (np.nan,)), ((0.0, 1.0, 2.0), (1.0, -np.inf)),
+    ])
+    def test_non_finite_refused(self, breakpoints, levels):
+        # an infinite breakpoint made the support infinite, a NaN level made
+        # the function NaN inside it
+        with pytest.raises(InvalidParameterError, match="finite"):
+            PiecewiseConstant(breakpoints=breakpoints, levels=levels)
+
+    @pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)])
+    def test_box_non_finite_refused(self, a, b):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            make_box(a, b)
+
+    def test_support_is_first_and_last_breakpoint(self):
+        assert make_haar_wavelet().support == (-1.0, 1.0)
+        assert make_haar_scaling().support == (0.0, 1.0)
+        assert make_box(-0.5, 2.25).support == (-0.5, 2.25)
+        # a property: the fields, repr and equality are those of the two tuples
+        h = make_haar_wavelet()
+        assert "support" not in repr(h)
+        assert h == PiecewiseConstant((-1.0, 0.0, 1.0), (1.0, -1.0))
+        with pytest.raises(AttributeError):
+            h.support = (0.0, 1.0)
+
+    def test_evaluated_through_evaluate_only(self):
+        assert not callable(make_haar_wavelet())
+
     def test_haar_scaling_is_unit_box(self):
         s = make_haar_scaling()
         assert evaluate(s, 0.0) == 1.0
@@ -197,6 +226,11 @@ class TestSample:
 def _whole_array(spec, x):
     """The compact generators' formulas run at every abscissa, in or out of the support."""
     x = np.asarray(x, dtype=np.float64)
+    if isinstance(spec, PiecewiseConstant):
+        out = np.zeros_like(x)
+        for a, b, v in zip(spec.breakpoints, spec.breakpoints[1:], spec.levels):
+            out = np.where((x >= a) & (x < b), v, out)
+        return out[()]
     m = spec.degree + 1
     if spec.kind == "bspline_scaling":
         return cardinal_bspline(m, x + m / 2.0)
@@ -210,14 +244,12 @@ def _whole_array(spec, x):
 class TestSupportWindow:
     """``evaluate`` computes a compact generator on its support only."""
 
-    @pytest.mark.parametrize("make", [make_bspline_scaling, make_spline_wavelet])
-    @pytest.mark.parametrize("degree", range(DEGREE_CAP + 1))
-    def test_matches_whole_array_evaluation(self, make, degree):
+    @staticmethod
+    def _assert_matches_whole_array(spec, x):
         # bytes, so that a -0.0 against a +0.0 counts as a difference
-        spec = make(degree)
         lo, hi = spec.support
         near = np.nextafter([lo, lo, hi, hi], [-np.inf, np.inf, -np.inf, np.inf])
-        x = np.array([lo, hi, *near, 0.0, -0.0, 0.3, -1e6, 1e6])
+        x = np.array([lo, hi, *near, *x, 0.0, -0.0, 0.3, -1e6, 1e6])
         assert evaluate(spec, x).tobytes() == _whole_array(spec, x).tobytes()
         g = Grid(lo - 4.0, 0.125, int((hi - lo + 8.0) / 0.125) + 1)  # hits lo and hi
         assert sample(spec, g).values.tobytes() == _whole_array(spec, g.abscissas()).tobytes()
@@ -225,19 +257,40 @@ class TestSupportWindow:
         assert type(got) is type(want) is np.float64
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("make", [make_bspline_scaling, make_spline_wavelet])
+    @pytest.mark.parametrize("degree", range(DEGREE_CAP + 1))
+    def test_matches_whole_array_evaluation(self, make, degree):
+        self._assert_matches_whole_array(make(degree), [])
+
+    @pytest.mark.parametrize("spec", [make_haar_wavelet(), make_haar_scaling(),
+                                      make_box(-0.5, 2.25)],
+                             ids=["haar-wavelet", "haar-scaling", "box"])
+    def test_step_functions_match_whole_array_evaluation(self, spec):
+        # every breakpoint, not only the support's ends, and its neighbours
+        bp = np.array(spec.breakpoints)
+        near = [np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf)]
+        self._assert_matches_whole_array(spec, np.concatenate([bp, *near]))
+
     def test_outside_support_all_positive_zero(self):
         g = make_grid(10.0, 14.0)
         for spec in (make_bspline_scaling(3), make_spline_wavelet(3), make_box(0.0, 1.0)):
             f = sample(spec, g)
             assert np.all(f.values == 0.0) and not np.any(np.signbit(f.values))
 
-    @pytest.mark.parametrize("make", [make_bspline_scaling, make_spline_wavelet])
+    @pytest.mark.parametrize("make", [make_bspline_scaling, make_spline_wavelet,
+                                      make_haar_wavelet, make_haar_scaling, make_box])
     def test_non_finite_abscissas(self, make):
-        # the whole-array formulas give NaN at +-inf, and the spline wavelet's
-        # also at 1e308, where 2x overflows
-        out = evaluate(make(3), np.array([np.inf, -np.inf, 1e308, -1e308, np.nan]))
+        # the whole-array spline formulas give NaN at +-inf, and the spline
+        # wavelet's also at 1e308, where 2x overflows
+        spec = make(*{make_bspline_scaling: (3,), make_spline_wavelet: (3,),
+                      make_box: (-0.5, 2.25)}.get(make, ()))
+        out = evaluate(spec, np.array([np.inf, -np.inf, 1e308, -1e308, np.nan]))
         assert out[:4].tobytes() == np.zeros(4).tobytes()
-        assert np.isnan(out[4])
+        # a NaN abscissa means NaN for the spline kinds, 0.0 for step functions
+        if isinstance(spec, PiecewiseConstant):
+            assert out[4] == 0.0
+        else:
+            assert np.isnan(out[4])
 
 
 def test_cardinal_bspline_known_values():
