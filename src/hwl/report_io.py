@@ -4,7 +4,9 @@ CSV and the JSON report schema are the package's stable external contracts:
 
 * signal CSV: header line ``x,value``, one row per sample, 17-significant-
   digit decimal floats (lossless for binary64), uniform abscissa spacing
-  validated to 1e-9 relative on read;
+  validated to 1e-9 relative on read.  The file is ASCII: the reader reads
+  its bytes once, refuses any non-ASCII byte, and parses those same bytes
+  on every path, so no result depends on the locale;
 * report JSON: one strict-JSON object per report (no ``NaN`` or
   ``Infinity``), serialized with sorted keys so identical inputs give
   identical bytes.  Every report carries the envelope ``kind``,
@@ -13,10 +15,11 @@ CSV and the JSON report schema are the package's stable external contracts:
   ``decay_fit``, ``bound_certificate``, ``sobolev_estimate``) and read back
   as those dataclasses.  Four are records of CLI runs (``hilbert_run``,
   ``bedrosian_residual``, ``tail_limit``, ``partition_deviation``) and read
-  back as dicts; their required fields are :data:`RECORD_FIELDS`.
+  back as dicts; their required fields are :data:`RECORD_FIELDS`.  The
+  file is UTF-8 (RFC 8259), and the writer's output is ASCII.
 
-Figures are emitted as standalone SVG with hand-built paths and axes; no
-plotting dependency.
+Figures are emitted as standalone UTF-8 SVG with hand-built paths and axes;
+no plotting dependency.  Every file this module opens names its encoding.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ _HEADER_LINE = (CSV_HEADER + "\n").encode()
 # faster yet left a repeated CLI chain's peak RSS about 1 MiB higher
 _WRITE_BLOCK = 1 << 11
 _ROW_START = re.compile(rb"[^\r\n]")  # the first byte of a row after the header
+_NON_ASCII = re.compile(rb"[\x80-\xff]")
 
 _REPORT_KINDS = {
     "moment_report": MomentReport,
@@ -88,7 +92,7 @@ def write_signal_csv(f: SampledSignal, path) -> None:
     """Write ``x,value`` rows at full binary64 round-trip precision,
     formatted and written :data:`_WRITE_BLOCK` rows at a time."""
     x, values = f.x(), f.values
-    with open(path, "w") as out:
+    with open(path, "w", encoding="ascii") as out:
         out.write(CSV_HEADER + "\n")
         for i in range(0, values.shape[0], _WRITE_BLOCK):
             j = i + _WRITE_BLOCK
@@ -104,6 +108,8 @@ def _parse_rows(body: list[str]) -> tuple[np.ndarray, np.ndarray]:
         if len(parts) != 2:
             raise ParseError(f"expected 2 fields, got {len(parts)}", row=row)
         try:
+            if "_" in line:  # float reads PEP 515 underscores: "1_0" is 10.0
+                raise ValueError
             x, v = float(parts[0]), float(parts[1])
         except ValueError:
             raise ParseError(f"unparseable number in {line!r}", row=row) from None
@@ -114,13 +120,9 @@ def _parse_rows(body: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(xs), np.asarray(vs)
 
 
-def _read_rows(path) -> tuple[np.ndarray, np.ndarray]:
-    """The reference read: the whole text, its non-blank lines, the header
+def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The reference read of ``text``: its non-blank lines, the header
     checks and then :func:`_parse_rows`."""
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not text: {exc.reason} at byte {exc.start}") from None
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if not lines:
         raise ParseError("empty file")
@@ -132,13 +134,13 @@ def _read_rows(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _parse_rows_fast(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """The rows of a plain signal CSV parsed by NumPy's C reader in one pass
-    over ``data``; None, so that :func:`_read_rows` decides, for a file
-    without the exact header line, with a non-ASCII byte (left to the
-    locale's decoding) or with fewer than 2 rows (none makes loadtxt warn)."""
+    """The rows of a plain signal CSV, ASCII ``data``, parsed by NumPy's C
+    reader in one pass; None, so that :func:`_read_rows` decides, for a file
+    without the exact header line or with fewer than 2 rows (none makes
+    loadtxt warn)."""
     # loadtxt strips these as whitespace inside a row, where str.splitlines
     # ends a line (\v, \f, U+001C-U+001E) or float refuses the field (U+001F)
-    if (not data.startswith(_HEADER_LINE) or not data.isascii()
+    if (not data.startswith(_HEADER_LINE)
             or any(byte in data for byte in b"\x0b\x0c\x1c\x1d\x1e\x1f")
             or _ROW_START.search(data, len(_HEADER_LINE)) is None):
         return None
@@ -153,9 +155,21 @@ def _parse_rows_fast(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     return rows[:, 0], rows[:, 1]
 
 
+def _parse_signal(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissas and values of the signal CSV ``data``: a non-ASCII byte is
+    refused with its offset, then NumPy's parse runs, or the reference one
+    on the same bytes."""
+    if not data.isascii():
+        at = _NON_ASCII.search(data).start()
+        raise ParseError(f"not text: non-ASCII byte {data[at]:#04x} at byte {at}")
+    return _parse_rows_fast(data) or _read_rows(data.decode("ascii"))
+
+
 def read_signal_csv(path) -> SampledSignal:
     """Parse a signal CSV; malformed content raises ParseError with the row."""
-    x_arr, vs = _parse_rows_fast(Path(path).read_bytes()) or _read_rows(path)
+    # only _parse_signal holds the bytes, so they are freed before the
+    # spacing check allocates
+    x_arr, vs = _parse_signal(Path(path).read_bytes())
     # finite abscissas may span past the float range, which the grid
     # refuses, or step past it, which reads as an infinite deviation
     with np.errstate(over="ignore"):
@@ -237,7 +251,7 @@ def write_report_json(report, path, input_digest: str = "", extra: dict | None =
     except ValueError:
         bad = sorted(key for key, value in payload.items() if not _is_strict(value))
         raise SchemaError(f"{kind} report fields are not finite: {', '.join(bad)}") from None
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _retuple(value):
@@ -255,11 +269,13 @@ def read_report_json(path):
 
     An analysis kind comes back as its dataclass, a record kind as the
     report's JSON object (a dict).  Unknown ``kind``, missing fields or a
-    ``NaN``/``Infinity`` token raise :class:`SchemaError`.
+    ``NaN``/``Infinity`` token raise :class:`SchemaError`, and so does a
+    file that is not UTF-8.
     """
     try:
-        payload = json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"),
+                             parse_constant=_refuse_constant)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if not isinstance(kind, str):
@@ -406,4 +422,4 @@ def render_figure(panels, path) -> None:
             f'text-anchor="middle">x</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

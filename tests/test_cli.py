@@ -255,6 +255,15 @@ class TestAnalyze:
         assert_refused(capsys, ["analyze", "decay", "--in", small_signal, "--window", window,
                                 "--json", tmp_path / "d.json"], 2)
 
+    # float reads PEP 515 underscores ("1_0" is 10.0); no CSV number holds one
+    def test_underscore_in_a_number_is_data_error(self, tmp_path, capsys):
+        sig = tmp_path / "underscore.csv"
+        sig.write_text("x,value\n0,1_0\n1,2\n2,3\n")
+        err = assert_refused(capsys, ["analyze", "decay", "--in", sig, "--window", "1:2",
+                                      "--json", tmp_path / "d.json"], 3)
+        assert "unparseable number in '0,1_0'" in err
+        assert not (tmp_path / "d.json").exists()
+
     # 1e300 is finite, but the Sobolev weight (1 + w^2)^gamma overflows
     @pytest.mark.parametrize("gammas", ["a,b", "1,,2", "nan", "0,1e300"])
     def test_bad_gammas_is_usage_error(self, tmp_path, capsys, small_signal, gammas):

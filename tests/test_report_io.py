@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import hwl
 from hwl import analysis, cli, report_io
 from hwl.errors import InvalidParameterError, ParseError, SchemaError
 from hwl.hilbert import hilbert_spectral
@@ -112,8 +116,19 @@ class TestSignalCsv:
     def test_undecodable_bytes_rejected(self, tmp_path):
         p = tmp_path / "binary.csv"
         p.write_bytes(b"x,value\n0.0,1.0\n\xff,2.0\n")
-        with pytest.raises(ParseError, match="not text"):
+        with pytest.raises(ParseError, match="not text: non-ASCII byte 0xff at byte 16$"):
             read_signal_csv(p)
+
+    def test_reference_parse_reads_the_file_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "crlf.csv"
+        p.write_bytes(b"x,value\r\n0,1\r\n1,2\r\n")
+        assert report_io._parse_rows_fast(p.read_bytes()) is None
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+        monkeypatch.setattr(Path, "read_text", lambda *a, **k: pytest.fail("second read"))
+        assert read_signal_csv(p).values.tolist() == [1.0, 2.0]
+        assert reads == [p]
 
     # finite abscissas whose span, last abscissa or one adjacent difference
     # lies past the float range: a parse error, never an overflow warning
@@ -149,7 +164,6 @@ class TestSignalCsv:
     )
     def test_round_trip_is_identity(self, values, x_min, step):
         import tempfile
-        from pathlib import Path
 
         sig = SampledSignal(Grid(x_min, step, len(values)), values)
         with tempfile.TemporaryDirectory() as d:
@@ -162,9 +176,16 @@ class TestSignalCsv:
 @given(csv=_CSV)
 # three fields then one: as many fields as two good rows
 @example(csv=b"x,value\n0,1,2\n3\n")
-# fields float takes and loadtxt refuses: underscores, full-width digits
+# fields float takes and loadtxt refuses: underscores, refused by the row
+# parser too, and non-ASCII digits, spaces and line ends, refused as not text
 @example(csv=b"x,value\n1_0,1\n2_0,2\n")
+@example(csv=b"x,value\n0,1_0\n1,2\n")
 @example(csv="x,value\n\uff11,1\n\uff12,2\n".encode())
+@example(csv="x,value\n\u0660,1\n1,2\n".encode())
+@example(csv="x,value\n\uff10,1\n1,2\n".encode())
+@example(csv="x,value\n0,\u00a01\u00a0\n1,2\n".encode())
+@example(csv="x,value\n0,1\u20281,2\u2028".encode())
+@example(csv="x,value\n0,1\u00851,2\u0085".encode())
 # fields loadtxt would take and float refuses: U+001F strips as whitespace,
 # and '#' starts a comment unless comments=None
 @example(csv=b"x,value\n1\x1f,1\n2,2\n")
@@ -201,6 +222,61 @@ def test_fast_parse_matches_row_parser(tmp_path_factory, csv):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(report_io, "_parse_rows_fast", lambda data: None)
         assert outcome() == fast
+    if not csv.isascii():
+        at = next(i for i, byte in enumerate(csv) if byte > 0x7f)
+        assert fast == (ParseError, None, f"not text: non-ASCII byte {csv[at]:#04x} at byte {at}")
+    if b"_" in csv:  # float reads "1_0" as 10.0
+        assert fast[0] is ParseError
+
+
+_ENCODING_GUARD = """
+from hwl import cli
+from hwl.report_io import read_report_json, read_signal_csv
+for argv in (
+    ["gen", "--wavelet", "haar-wavelet", "--grid", "-8:8:0.0625", "--out", "psi.csv"],
+    ["hilbert", "--method", "pv", "--in", "psi.csv", "--out", "hpsi.csv"],
+    ["analyze", "decay", "--in", "hpsi.csv", "--window", "2:8", "--json", "decay.json"],
+    ["figure", "--id", "2", "--out", "fig.svg"],
+):
+    assert cli.main(argv) == 0, argv
+read_report_json("decay.json")
+assert read_signal_csv("crlf.csv").values.tolist() == [1.0, 2.0]
+"""
+
+_READ_UNDER_LOCALE = """
+import locale
+from hwl.report_io import read_signal_csv
+try:
+    read_signal_csv("full_width.csv")
+except Exception as exc:
+    print(locale.getpreferredencoding(False), type(exc).__name__, exc, sep="|")
+"""
+
+
+def test_files_do_not_depend_on_the_locale(tmp_path):
+    """No open in the CLI chain or the readers falls back to the locale's
+    encoding, and a non-ASCII signal CSV is refused alike under an ASCII and
+    a UTF-8 locale."""
+    (tmp_path / "crlf.csv").write_bytes(b"x,value\r\n0,1\r\n1,2\r\n")
+    (tmp_path / "full_width.csv").write_bytes("x,value\n\uff11,1\n\uff12,2\n".encode())
+    src = str(Path(hwl.__file__).parents[1])
+
+    def python(*args, **env):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, **env}
+        done = subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, encoding="utf-8")
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    python("-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", _ENCODING_GUARD)
+    ascii_run = python("-c", _READ_UNDER_LOCALE,
+                       LC_ALL="POSIX", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    utf8_run = python("-c", _READ_UNDER_LOCALE, LC_ALL="C.UTF-8")
+    ascii_encoding, *ascii_error = ascii_run.rstrip("\n").split("|")
+    utf8_encoding, *utf8_error = utf8_run.rstrip("\n").split("|")
+    assert ascii_encoding != utf8_encoding  # the two runs decode text differently
+    assert ascii_error == utf8_error == ["ParseError", "not text: non-ASCII byte 0xef at byte 8"]
 
 
 class TestSignalCsvMemory:
@@ -305,6 +381,12 @@ class TestReportJson:
             write_report_json(("bedrosian_residual", {"residual": 0.0}), p,
                               extra={"parameters": {"gammas": [0.0, math.inf]}})
         assert not p.exists()
+
+    def test_reader_refuses_bytes_that_are_not_utf8(self, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"kind": "bedrosian_residual", "residual": 0.5, "note": "\xff"}')
+        with pytest.raises(SchemaError, match="not valid JSON: 'utf-8' codec"):
+            read_report_json(p)
 
     def test_reader_refuses_non_standard_tokens(self, tmp_path):
         p = tmp_path / "nan.json"
