@@ -18,7 +18,6 @@ from .numerics import (  # noqa: E402
     Spectrum,
     dft,
     derivative,
-    idft,
     integrate,
     l1_norm,
     l2_norm,
@@ -71,7 +70,6 @@ __all__ = [
     "sup_norm",
     "mixed_norm",
     "dft",
-    "idft",
     "PiecewiseConstant",
     "WaveletSpec",
     "make_haar_wavelet",

@@ -22,7 +22,7 @@ the integrand samples g(j*h) = (f[i-j] - f[i+j]) / (j*h), giving weights
 1/j; the central contribution is the correction term -h*f'(x)/pi obtained
 from that limit.  Switching the correction off
 (``hilbert_pv(f, singularity_correction=False)``) drops the scheme from
-second to first order on smooth inputs.
+at least second order to first order on smooth inputs.
 
 The outer-cell sum is ``_pv_numpy.pv_sum``; ``PV_BACKEND`` names it in
 benchmark records.
@@ -64,16 +64,15 @@ def hilbert_pv(f: SampledSignal, *, singularity_correction: bool = True) -> Samp
     """Principal-value quadrature transform of a sampled signal.
 
     ``singularity_correction`` adds the central-cell term -h*f'(x)/pi, which
-    second-order accuracy requires.  Samples of f outside the grid are
-    treated as zero, so inputs should be compactly supported or decayed at
-    the grid edges.  Discontinuous inputs produce large-but-finite values
-    near their jumps, mirroring the transform's logarithmic blow-up there.
-    A jump sampled with its one-sided value (the half-open convention of
-    ``sample``) sits half a step off its node in the trapezoid sum, which
-    adds an error of order jump/(2*pi*k) at k steps, dominant in a band of a
-    few dozen steps around the jump.  With the mean of the two one-sided
-    levels at the jump's node that term is gone, and what remains is of
-    order jump/(12*pi*k^2).
+    accuracy of at least second order requires.  Samples of f outside the grid
+    are treated as zero, so inputs should be compactly supported or decayed at
+    the grid edges.  Discontinuous inputs produce large-but-finite values near
+    their jumps, mirroring the transform's logarithmic blow-up there.  A jump
+    sampled with its one-sided value (the half-open convention of ``sample``)
+    sits half a step off its node in the trapezoid sum, which adds an error of
+    order jump/(2*pi*k) at k steps, dominant in a band of a few dozen steps
+    around the jump.  With the mean of the two one-sided levels at the jump's
+    node that term is gone, and what remains is of order jump/(12*pi*k^2).
     """
     s = _pv_numpy.pv_sum(f.values)
     if singularity_correction:
@@ -126,10 +125,11 @@ def hilbert_box_closed_form(p: PiecewiseConstant, x) -> float | np.ndarray:
     Raises :class:`SingularPointError` when any evaluation point coincides
     with a breakpoint, where the transform has a logarithmic singularity.
     The transform decays like integral(f)/(pi x), so it is exactly 0.0 at
-    an infinite abscissa; a NaN abscissa gives NaN.
+    an infinite abscissa; a NaN abscissa gives NaN.  A scalar ``x`` gives a
+    float, an array one of its shape.
     """
     scalar = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
     bp = np.asarray(p.breakpoints)
     if np.any(np.isin(x, bp)):
         offending = x[np.isin(x, bp)][0]
@@ -141,4 +141,4 @@ def hilbert_box_closed_form(p: PiecewiseConstant, x) -> float | np.ndarray:
         hf += (v / np.pi) * np.log(np.abs((xf - a) / (xf - b)))
     out = np.zeros_like(x)
     out[finite] = hf
-    return float(out[0]) if scalar else out
+    return float(out) if scalar else out

@@ -3,7 +3,7 @@
 Every quantity in the toolkit lives on a uniform grid.  Quadrature is the
 composite trapezoid rule throughout; differentiation is central differences
 with one-sided stencils at the grid ends.  The spectral convention is fixed
-here once and shared by everything downstream (see :class:`Spectrum`).
+here once and shared by everything downstream (see :func:`dft`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "Grid",
     "SampledSignal",
     "Spectrum",
-    "SPECTRUM_NORMALIZATION",
     "integrate",
     "derivative",
     "l1_norm",
@@ -27,7 +26,6 @@ __all__ = [
     "sup_norm",
     "mixed_norm",
     "dft",
-    "idft",
     "odd_kernel_sum",
 ]
 
@@ -134,35 +132,19 @@ class SampledSignal:
         return float(self.values[self.grid.index_of(x)])
 
 
-SPECTRUM_NORMALIZATION = (
-    "values[k] = step * exp(-1j*w_k*x_min) * sum_m f_m * exp(-2j*pi*k*m/N); "
-    "w_k = 2*pi*k/(N*step) mapped to (-pi/step, pi/step], DC at bin 0, "
-    "negative frequencies in the upper half of the array.  values[k] is the "
-    "left-endpoint Riemann approximation of the continuous Fourier integral "
-    "of f at w_k, so Parseval reads sum|f|^2*step = sum|values|^2*dw/(2*pi)."
-)
-
-
 @dataclass(frozen=True)
 class Spectrum:
-    """Complex DFT values with an explicit frequency mapping.
-
-    ``frequencies`` are in radians per abscissa unit.  ``normalization``
-    documents the convention; see :data:`SPECTRUM_NORMALIZATION`.
-    """
+    """Complex values of :func:`dft` at ``frequencies`` (radians per abscissa
+    unit), both 1-d arrays of equal length, locked read-only in place."""
 
     frequencies: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    normalization: str = SPECTRUM_NORMALIZATION
-    grid: Grid | None = None
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=np.float64)
         v = np.asarray(self.values, dtype=np.complex128)
         if f.shape != v.shape or f.ndim != 1:
             raise ValueError("frequencies and values must be 1-d arrays of equal length")
-        f = f.copy()
-        v = v.copy()
         f.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "frequencies", f)
@@ -215,7 +197,6 @@ def _frequencies(count: int, step: float) -> np.ndarray:
     if count % 2 == 0:
         # fftfreq reports the shared Nyquist bin as negative; the convention
         # here maps bins into (-pi/step, pi/step].
-        w = w.copy()
         w[count // 2] = np.pi / step
     return w
 
@@ -223,31 +204,21 @@ def _frequencies(count: int, step: float) -> np.ndarray:
 def dft(f: SampledSignal) -> Spectrum:
     """Discrete Fourier transform scaled to approximate the continuous one.
 
-    Bin k of the result approximates the Fourier integral of f at frequency
-    ``frequencies[k]``; see :data:`SPECTRUM_NORMALIZATION` for the exact
-    scaling and phase convention.  ``idft`` inverts this exactly (to
-    rounding), independent of how well the continuous integral is
-    approximated.
+    On a grid of N samples f_m at x_min + m*step, bin k holds
+
+        values[k] = step * exp(-1j*w_k*x_min) * sum_m f_m * exp(-2j*pi*k*m/N),
+
+    the left-endpoint Riemann sum of the Fourier integral of f at
+    w_k = 2*pi*k/(N*step), with w_k mapped into (-pi/step, pi/step]: DC at
+    bin 0, an even N's Nyquist bin positive, the negative frequencies in the
+    upper half of the array.  Parseval reads
+    sum|f_m|^2 * step = sum|values[k]|^2 * dw/(2*pi), dw = 2*pi/(N*step).
     """
     g = f.grid
     w = _frequencies(g.count, g.step)
     raw = np.fft.fft(f.values)
     values = g.step * np.exp(-1j * w * g.x_min) * raw
-    return Spectrum(frequencies=w, values=values, grid=g)
-
-
-def idft(s: Spectrum) -> SampledSignal:
-    """Invert :func:`dft`; requires the spectrum to carry its grid."""
-    if s.grid is None:
-        raise ValueError("spectrum does not carry a grid; cannot invert")
-    g = s.grid
-    w = s.frequencies
-    raw = s.values * np.exp(1j * w * g.x_min) / g.step
-    v = np.fft.ifft(raw)
-    scale = max(float(np.max(np.abs(v))), np.finfo(float).tiny)
-    if float(np.max(np.abs(v.imag))) > 1e-9 * scale:
-        raise ValueError("spectrum is not the transform of a real signal")
-    return SampledSignal(g, v.real)
+    return Spectrum(frequencies=w, values=values)
 
 
 def _smooth_length(m: int) -> int:

@@ -106,12 +106,16 @@ def cardinal_bspline(order: int, t) -> np.ndarray:
     """Cardinal B-spline of the given order on [0, order], half-open base box.
 
     Evaluated by the Cox-de Boor recursion over the integer knot lattice;
-    vectorized in ``t`` and O(order^2) in work.
+    vectorized in ``t`` and O(order^2) in work.  A NaN ``t`` gives NaN.
     """
     if order < 1:
         raise InvalidParameterError(f"order must be >= 1, got {order}")
     t = np.asarray(t, dtype=np.float64)
     cols = [((t - j >= 0.0) & (t - j < 1.0)).astype(np.float64) for j in range(order)]
+    if order == 1:
+        # the recursion carries a NaN t through its arithmetic; the base box
+        # alone is an indicator and would give 0.0
+        return np.where(np.isnan(t), np.nan, cols[0])[()]
     for m in range(2, order + 1):
         nxt = []
         for j in range(order - m + 1):

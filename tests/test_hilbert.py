@@ -121,6 +121,14 @@ class TestClosedForm:
         assert np.isnan(got[-2]) and math.isnan(hilbert_box_closed_form(p, np.nan))
         assert hilbert_box_closed_form(p, x).tobytes() == want.tobytes()
 
+    def test_zero_d_array_keeps_its_shape(self):
+        p = make_haar_wavelet()
+        for x in (2.0, np.inf, np.nan):
+            got = hilbert_box_closed_form(p, np.array(x))
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            want = hilbert_box_closed_form(p, x)
+            assert got.tobytes() == np.float64(want).tobytes()
+
 
 class TestPv:
     def test_zero_in_zero_out(self):

@@ -14,7 +14,6 @@ from hwl.numerics import (
     check_integer,
     dft,
     derivative,
-    idft,
     integrate,
     l1_norm,
     l2_norm,
@@ -227,12 +226,16 @@ class TestNorms:
 
 
 class TestDft:
-    def test_round_trip(self, grid_8):
-        g = make_grid(-4.0, 4.0)
-        x = g.abscissas()
-        f = SampledSignal(g, np.exp(-x ** 2) * np.cos(3 * x))
-        back = idft(dft(f))
-        assert np.max(np.abs(back.values - f.values)) < 1e-12 * sup_norm(f)
+    @pytest.mark.parametrize("count", [609, 610], ids=["odd", "even"])
+    def test_offset_gaussian_matches_closed_form(self, count):
+        # exp(-(x-c)^2/2) transforms to sqrt(2 pi) exp(-w^2/2 - i w c): pins
+        # the phase exp(-i w x_min), the step scaling and the bin -> w mapping
+        c = 0.75
+        g = Grid(-9.3, 2.0 ** -5, count)
+        s = dft(SampledSignal(g, np.exp(-(g.abscissas() - c) ** 2 / 2)))
+        w = s.frequencies
+        exact = np.sqrt(2 * np.pi) * np.exp(-w ** 2 / 2 - 1j * w * c)
+        assert np.max(np.abs(s.values - exact)) < 1e-13
 
     def test_parseval(self):
         g = make_grid(-4.0, 4.0)
@@ -271,10 +274,17 @@ class TestDft:
         assert np.max(w) <= np.pi / 0.5 + 1e-12
         assert np.min(w) > -np.pi / 0.5 - 1e-12
 
-    def test_idft_requires_grid(self):
-        s = Spectrum(frequencies=np.array([0.0, 1.0]), values=np.array([1.0 + 0j, 0j]))
+    def test_spectrum_read_only(self):
+        s = dft(SampledSignal(Grid(0.0, 0.5, 8), np.ones(8)))
         with pytest.raises(ValueError):
-            idft(s)
+            s.values[0] = 0.0
+        with pytest.raises(ValueError):
+            s.frequencies[0] = 1.0
+        # arrays of the right dtype are locked in place, not copied
+        w, v = np.zeros(3), np.zeros(3, dtype=np.complex128)
+        s = Spectrum(frequencies=w, values=v)
+        assert s.frequencies is w and s.values is v
+        assert not (w.flags.writeable or v.flags.writeable)
 
     def test_spectrum_shape_validation(self):
         with pytest.raises(ValueError):

@@ -281,16 +281,18 @@ class TestSupportWindow:
                                       make_haar_wavelet, make_haar_scaling, make_box])
     def test_non_finite_abscissas(self, make):
         # the whole-array spline formulas give NaN at +-inf, and the spline
-        # wavelet's also at 1e308, where 2x overflows
-        spec = make(*{make_bspline_scaling: (3,), make_spline_wavelet: (3,),
-                      make_box: (-0.5, 2.25)}.get(make, ()))
-        out = evaluate(spec, np.array([np.inf, -np.inf, 1e308, -1e308, np.nan]))
-        assert out[:4].tobytes() == np.zeros(4).tobytes()
-        # a NaN abscissa means NaN for the spline kinds, 0.0 for step functions
-        if isinstance(spec, PiecewiseConstant):
-            assert out[4] == 0.0
-        else:
-            assert np.isnan(out[4])
+        # wavelet's also at 1e308, where 2x overflows; degree 0's base box
+        # is an indicator, with no arithmetic to carry a NaN
+        arguments = {make_bspline_scaling: [(0,), (3,)], make_spline_wavelet: [(0,), (3,)],
+                     make_box: [(-0.5, 2.25)]}.get(make, [()])
+        for spec in (make(*args) for args in arguments):
+            out = evaluate(spec, np.array([np.inf, -np.inf, 1e308, -1e308, np.nan]))
+            assert out[:4].tobytes() == np.zeros(4).tobytes()
+            # a NaN abscissa means NaN for the spline kinds, 0.0 for step functions
+            if isinstance(spec, PiecewiseConstant):
+                assert out[4] == 0.0
+            else:
+                assert np.isnan(out[4]), spec
 
 
 def test_cardinal_bspline_known_values():
