@@ -22,8 +22,8 @@ from .errors import (
 # nothing here calls ``derivative``; it is imported because the benchmark's
 # tracer (hwlbench/trace.py) wraps it under this module's name
 from .numerics import (  # noqa: F401
-    Grid, SampledSignal, check_integer, derivative, dft, integrate, l1_norm, mixed_norm,
-    sup_norm,
+    GRID_TOLERANCE, Grid, SampledSignal, check_integer, derivative, dft, integrate, l1_norm,
+    mixed_norm, sup_norm,
 )
 from .wavelets import PiecewiseConstant, WaveletSpec, evaluate, make_modulated_window, sample
 from .hilbert import hilbert_spectral
@@ -227,9 +227,9 @@ def fit_decay(f: SampledSignal, window: tuple[float, float], side: str = "two_si
 
 def _require_same_grid(f: SampledSignal, g: SampledSignal, what: str) -> None:
     """Raise unless ``f`` and ``g`` share a grid: equal counts, and first and
-    last abscissas within 1e-9 step (the CSV reader's uniformity tolerance)."""
+    last abscissas within ``GRID_TOLERANCE`` step, as the CSV reader checks."""
     a, b = f.grid, g.grid
-    tol = 1e-9 * a.step
+    tol = GRID_TOLERANCE * a.step
     if a.count != b.count or abs(a.x_min - b.x_min) > tol or abs(a.x_max - b.x_max) > tol:
         raise GridMismatchError(
             f"{what} are on different grids: {a.count} samples on "

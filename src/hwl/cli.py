@@ -150,9 +150,8 @@ def cmd_gen(args) -> int:
 def cmd_hilbert(args) -> int:
     (f,), digest = _read(getattr(args, "in"))
     if args.method == "pv":
-        correction = not args.no_correction
-        out = hilbert_pv(f, singularity_correction=correction)
-        meta = {"method": "pv", "singularity_correction": correction}
+        out = hilbert_pv(f)
+        meta = {"method": "pv"}
     else:
         # a contract, not a memory guard (no N-point buffer); pad 16 reaches it at the top grid
         if args.pad * f.grid.count > 16 * MAX_GRID_COUNT:
@@ -344,8 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilbert", help="transform a signal CSV")
     p.add_argument("--method", required=True, choices=("pv", "spectral"))
     p.add_argument("--pad", type=int, default=16, help="spectral zero-padding factor")
-    p.add_argument("--no-correction", action="store_true",
-                   help="disable the PV singularity correction term")
     p.add_argument("--in", required=True, dest="in")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_hilbert)

@@ -20,9 +20,8 @@ strictly inside the central cell, where the integrand has the finite limit
 -2 f'(x).  The outer cells are summed by the composite trapezoid rule over
 the integrand samples g(j*h) = (f[i-j] - f[i+j]) / (j*h), giving weights
 1/j; the central contribution is the correction term -h*f'(x)/pi obtained
-from that limit.  Switching the correction off
-(``hilbert_pv(f, singularity_correction=False)``) drops the scheme from
-at least second order to first order on smooth inputs.
+from that limit.  The scheme always adds it: without it the sum is only
+first order on smooth inputs, with it at least second order.
 
 The outer-cell sum is ``_pv_numpy.pv_sum``; ``PV_BACKEND`` names it in
 benchmark records.
@@ -60,11 +59,11 @@ def fft_length(count: int, pad_factor: int = 16) -> int:
     return count if pad == 1 else _smooth_length(pad * count)
 
 
-def hilbert_pv(f: SampledSignal, *, singularity_correction: bool = True) -> SampledSignal:
+def hilbert_pv(f: SampledSignal) -> SampledSignal:
     """Principal-value quadrature transform of a sampled signal.
 
-    ``singularity_correction`` adds the central-cell term -h*f'(x)/pi, which
-    accuracy of at least second order requires.  Samples of f outside the grid
+    Trapezoid weights 1/j plus the central-cell term -h*f'(x)/pi: at least
+    second order on smooth inputs.  Samples of f outside the grid
     are treated as zero, so inputs should be compactly supported or decayed at
     the grid edges.  Discontinuous inputs produce large-but-finite values near
     their jumps, mirroring the transform's logarithmic blow-up there.  A jump
@@ -74,9 +73,7 @@ def hilbert_pv(f: SampledSignal, *, singularity_correction: bool = True) -> Samp
     around the jump.  With the mean of the two one-sided levels at the jump's
     node that term is gone, and what remains is of order jump/(12*pi*k^2).
     """
-    s = _pv_numpy.pv_sum(f.values)
-    if singularity_correction:
-        s = s - f.grid.step * derivative(f).values
+    s = _pv_numpy.pv_sum(f.values) - f.grid.step * derivative(f).values
     return SampledSignal(f.grid, s / np.pi)
 
 

@@ -48,6 +48,9 @@ def check_integer(value, name: str, minimum: int) -> int:
     return result
 
 
+GRID_TOLERANCE = 1e-9  # abscissas this fraction of a step apart are one grid point
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform abscissa lattice: sample i sits at ``x_min + i * step``.

@@ -37,7 +37,7 @@ import numpy as np
 from . import TOOL_VERSION
 from .analysis import BoundCertificate, DecayFit, MomentReport, SobolevEstimate
 from .errors import InvalidParameterError, ParseError, SchemaError
-from .numerics import Grid, SampledSignal
+from .numerics import GRID_TOLERANCE, Grid, SampledSignal
 
 __all__ = [
     "write_signal_csv",
@@ -66,8 +66,7 @@ _REPORT_KINDS = {
 _KIND_BY_TYPE = {cls: kind for kind, cls in _REPORT_KINDS.items()}
 
 # the record kinds, written as ``(kind, fields)``, and the fields each needs;
-# ``hilbert_run`` also carries its engine's setting (``pad_factor`` or
-# ``singularity_correction``)
+# a spectral ``hilbert_run`` also carries ``pad_factor`` and ``fft_length``
 RECORD_FIELDS = {
     "hilbert_run": ("method",),
     "bedrosian_residual": ("residual",),
@@ -184,7 +183,7 @@ def read_signal_csv(path) -> SampledSignal:
         deviation -= step
     np.abs(deviation, out=deviation)
     worst = int(np.argmax(deviation))
-    if deviation[worst] > 1e-9 * abs(step):
+    if deviation[worst] > GRID_TOLERANCE * abs(step):
         raise ParseError(
             f"non-uniform grid: spacing deviates by {deviation[worst]:.3e} from {step}",
             row=worst + 3,  # header + 1-based + diff offset
@@ -309,6 +308,8 @@ class PanelSpec:
     y_range: tuple[float, float] | None = None
 
     def __post_init__(self):
+        if not self.curves:
+            raise InvalidParameterError("a panel needs at least one curve")
         for _, role in self.curves:
             if role not in _ROLE_STYLE:
                 raise InvalidParameterError(f"unknown style role {role!r}")

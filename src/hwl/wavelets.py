@@ -106,11 +106,12 @@ def cardinal_bspline(order: int, t) -> np.ndarray:
     """Cardinal B-spline of the given order on [0, order], half-open base box.
 
     Evaluated by the Cox-de Boor recursion over the integer knot lattice;
-    vectorized in ``t`` and O(order^2) in work.  A NaN ``t`` gives NaN.
+    vectorized in ``t`` and O(order^2) in work.  A NaN ``t`` gives NaN, an infinite one 0.0.
     """
     if order < 1:
         raise InvalidParameterError(f"order must be >= 1, got {order}")
-    t = np.asarray(t, dtype=np.float64)
+    # inf * 0 in the recursion would give NaN; -1 lies outside every support
+    t = np.where(np.isinf(t), -1.0, np.asarray(t, dtype=np.float64))
     cols = [((t - j >= 0.0) & (t - j < 1.0)).astype(np.float64) for j in range(order)]
     if order == 1:
         # the recursion carries a NaN t through its arithmetic; the base box

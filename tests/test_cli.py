@@ -103,8 +103,8 @@ class TestHilbert:
         sig = read_signal_csv(hpsi)
         assert sig.value_at(2.0) == pytest.approx(math.log(3 / 4) / math.pi, abs=5e-3)
         meta = json.loads((tmp_path / "hpsi.csv.meta.json").read_text())
-        assert meta["method"] == "pv"
-        assert meta["singularity_correction"] is True
+        assert set(meta) == {"kind", "tool_version", "input_digest", "method"}
+        assert meta["kind"] == "hilbert_run" and meta["method"] == "pv"
         assert len(meta["input_digest"]) == 64
 
     def test_spectral_padding_study(self, tmp_path):
@@ -120,7 +120,9 @@ class TestHilbert:
         # periodization shows up measurably in the tail
         assert abs(outs[1].value_at(48.0) - outs[16].value_at(48.0)) > 1e-3
         meta = json.loads((tmp_path / "h16.csv.meta.json").read_text())
-        assert meta == {**meta, "method": "spectral", "pad_factor": 16}
+        assert set(meta) == {"kind", "tool_version", "input_digest", "method",
+                             "pad_factor", "fft_length"}
+        assert meta == {**meta, "kind": "hilbert_run", "method": "spectral", "pad_factor": 16}
         # the padded multiplier's period N: 5-smooth and at least pad * count
         length = meta["fft_length"]
         assert length >= 16 * outs[16].grid.count
@@ -131,6 +133,13 @@ class TestHilbert:
 
     def test_missing_input_flag_is_usage_error(self, tmp_path):
         assert run(["hilbert", "--method", "pv", "--out", tmp_path / "o.csv"]) == 2
+
+    # the PV engine has one scheme; the first-order switch is gone
+    def test_no_correction_flag_is_usage_error(self, tmp_path, capsys, small_signal):
+        out = tmp_path / "o.csv"
+        assert_refused(capsys, ["hilbert", "--method", "pv", "--no-correction",
+                                "--in", small_signal, "--out", out], 2)
+        assert list(tmp_path.iterdir()) == []
 
     # pad * count above 16 * MAX_GRID_COUNT: before the cap these raised
     # MemoryError and NumPy's "Maximum allowed dimension exceeded"; the engine

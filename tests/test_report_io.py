@@ -448,6 +448,11 @@ class TestFigures:
         with pytest.raises(InvalidParameterError):
             PanelSpec(curves=((sig, "dashed"),))
 
+    # render_figure took the minimum of no abscissas
+    def test_empty_panel_rejected(self):
+        with pytest.raises(InvalidParameterError, match="at least one curve"):
+            PanelSpec(curves=())
+
     # an empty range divides by zero, NaN writes "nan" coordinates, an
     # infinite end warns, and lo > hi flips the plot
     @pytest.mark.parametrize("y_range", [(1.0, 1.0), (math.nan, 1.0), (0.0, math.inf),

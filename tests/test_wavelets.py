@@ -1,5 +1,7 @@
 """Generators: Haar family, B-splines, spline wavelets, modulated windows."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -301,6 +303,41 @@ def test_cardinal_bspline_known_values():
     np.testing.assert_allclose(
         cardinal_bspline(4, np.array([1.0, 2.0, 3.0])), [1 / 6, 2 / 3, 1 / 6]
     )
+
+
+def _cardinal_bspline_reference(order, t):
+    """The Cox-de Boor recursion as written before infinite abscissas were
+    mapped outside the support; exact for every finite ``t``."""
+    t = np.asarray(t, dtype=np.float64)
+    cols = [((t - j >= 0.0) & (t - j < 1.0)).astype(np.float64) for j in range(order)]
+    if order == 1:
+        return np.where(np.isnan(t), np.nan, cols[0])
+    for m in range(2, order + 1):
+        cols = [((t - j) * cols[j] + (m - (t - j)) * cols[j + 1]) / (m - 1)
+                for j in range(order - m + 1)]
+    return cols[0]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, DEGREE_CAP + 1])
+class TestCardinalBsplineNonFinite:
+    def test_infinite_abscissa_is_zero(self, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = cardinal_bspline(order, np.array([np.inf, -np.inf, np.nan, 1e308]))
+        assert out[[0, 1, 3]].tobytes() == np.zeros(3).tobytes()
+        assert np.isnan(out[2])
+        for t in (np.inf, -np.inf):
+            assert cardinal_bspline(order, t).tobytes() == np.float64(0.0).tobytes()
+
+    def test_finite_abscissas_unchanged(self, order):
+        knots = np.arange(-1.0, order + 2.0)
+        t = np.concatenate([
+            np.linspace(-0.5, order + 0.5, 16 * order + 1), knots,
+            np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+            [-0.0, 1e308, -1e308],
+        ])
+        want = _cardinal_bspline_reference(order, t)
+        assert cardinal_bspline(order, t).tobytes() == want.tobytes()
 
 
 # parameters for each cli.GENERATORS entry
