@@ -412,9 +412,9 @@ def bedrosian_residual(window_kind: str, omega0: float, grid: Grid,
     violated.  Rejects grids whose edges still carry more than 1e-4 of the
     window envelope.
     """
-    spec = make_modulated_window(window_kind, omega0, phase=0.0, sigma=sigma)
+    spec = make_modulated_window(window_kind, omega0, sigma=sigma)
     x = grid.abscissas()
-    # the unmodulated window: cos(0*x + 0) is exactly 1
+    # the unmodulated window: cos(0*x) is exactly 1
     w = evaluate(make_modulated_window(window_kind, 0.0, sigma=sigma), x)
     envelope_edge = max(w[0], w[-1])
     if envelope_edge >= 1e-4:
@@ -461,7 +461,7 @@ def partition_deviation(spec: WaveletSpec | PiecewiseConstant, k_range: int,
             total[i0:i1] += evaluate(spec, x[i0:i1] - k)
         return SampledSignal(grid, total - 1.0)
     shift = 1.0 / grid.step
-    if abs(shift - round(shift)) > 1e-9:
+    if abs(shift - round(shift)) > GRID_TOLERANCE:
         raise InvalidParameterError(
             "transformed partition sums need integer shifts to be grid-aligned: "
             f"1/step = {shift} is not an integer"

@@ -38,7 +38,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .numerics import Grid, SampledSignal
+from .numerics import GRID_TOLERANCE, Grid, SampledSignal
 from . import wavelets
 from .hilbert import fft_length, hilbert_pv, hilbert_spectral
 from . import analysis
@@ -83,25 +83,24 @@ def parse_grid(text: str) -> Grid:
         raise UsageError(f"grid needs min < max and step > 0, got {text!r}")
     steps = (hi - lo) / step
     # also catches a quotient that overflows to inf
-    if not steps + 1e-9 < MAX_GRID_COUNT:
+    if not steps + GRID_TOLERANCE < MAX_GRID_COUNT:
         raise UsageError(f"grid {text!r} has more than {MAX_GRID_COUNT} samples (the cap)")
-    count = int(np.floor(steps + 1e-9)) + 1
+    count = int(np.floor(steps + GRID_TOLERANCE)) + 1
     if count < 2:
         raise UsageError(f"grid has fewer than 2 samples: {text!r}")
     return Grid(lo, step, count)
 
 
-# NAME -> (factory of the parsed parameters, least and most parameter count)
+# NAME -> (factory of the parsed parameters, parameter count)
 GENERATORS = {
-    "haar-scaling": (wavelets.make_haar_scaling, 0, 0),
-    "haar-wavelet": (wavelets.make_haar_wavelet, 0, 0),
-    "bspline-scaling": (wavelets.make_bspline_scaling, 1, 1),
-    "spline-wavelet": (wavelets.make_spline_wavelet, 1, 1),
-    "sinc2-cos": (lambda omega0, phase=0.0:
-                  wavelets.make_modulated_window("sinc2", omega0, phase=phase), 1, 2),
-    "gauss-cos": (lambda sigma, omega0, phase=0.0:
-                  wavelets.make_modulated_window("gauss", omega0, phase=phase, sigma=sigma), 2, 3),
-    "box": (wavelets.make_box, 2, 2),
+    "haar-scaling": (wavelets.make_haar_scaling, 0),
+    "haar-wavelet": (wavelets.make_haar_wavelet, 0),
+    "bspline-scaling": (wavelets.make_bspline_scaling, 1),
+    "spline-wavelet": (wavelets.make_spline_wavelet, 1),
+    "sinc2-cos": (lambda omega0: wavelets.make_modulated_window("sinc2", omega0), 1),
+    "gauss-cos": (lambda sigma, omega0:
+                  wavelets.make_modulated_window("gauss", omega0, sigma=sigma), 2),
+    "box": (wavelets.make_box, 2),
 }
 WAVELET_NAMES = tuple(GENERATORS)
 
@@ -110,16 +109,15 @@ def parse_wavelet(text: str):
     """Parse ``NAME[,param,...]`` into a generator object.
 
     Parameter grammar: bspline-scaling,DEG  spline-wavelet,DEG
-    sinc2-cos,OMEGA0[,PHASE]  gauss-cos,SIGMA,OMEGA0[,PHASE]  box,A,B.
+    sinc2-cos,OMEGA0  gauss-cos,SIGMA,OMEGA0  box,A,B.
     """
     name, comma, raw = text.partition(",")
     if name not in GENERATORS:
         raise UsageError(f"unknown wavelet {name!r}; choose from {', '.join(WAVELET_NAMES)}")
-    factory, least, most = GENERATORS[name]
+    factory, count = GENERATORS[name]
     params = parse_numbers(raw, ",", f"{name} parameter") if comma else []
-    if not least <= len(params) <= most:
-        counts = f"{least}" if least == most else f"{least} to {most}"
-        raise UsageError(f"{name} takes {counts} parameter(s), got {len(params)}")
+    if len(params) != count:
+        raise UsageError(f"{name} takes {count} parameter(s), got {len(params)}")
     return factory(*params)
 
 

@@ -316,12 +316,12 @@ class PanelSpec:
         if self.y_range is not None:
             try:
                 lo, hi = self.y_range
-                ok = math.isfinite(lo) and math.isfinite(hi) and lo < hi
+                ok = lo < hi and math.isfinite(hi - lo)
             except (TypeError, ValueError):  # not a pair, or not numbers
                 ok = False
             if not ok:
                 raise InvalidParameterError(
-                    f"y_range must be two finite numbers lo < hi, got {self.y_range!r}")
+                    f"y_range must be lo < hi with a finite hi - lo, got {self.y_range!r}")
 
 
 _PANEL_W, _PANEL_H = 340, 260
@@ -330,10 +330,7 @@ _MAX_POINTS = 2048
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return [float(t) for t in raw]
+    return [float(t) for t in np.linspace(lo, hi, n)]
 
 
 def _polyline(x, y, x0, x1, y0, y1, ox, oy) -> str:
@@ -369,8 +366,11 @@ def render_figure(panels, path) -> None:
             y0, y1 = panel.y_range
         else:
             vals = np.concatenate([sig.values for sig, _ in panel.curves])
-            y0, y1 = float(vals.min()), float(vals.max())
-            pad = 0.05 * max(y1 - y0, 1e-12)
+            # cut at +-4e307, under a quarter of the float range, so the width
+            # stays finite, and padded by at least 5e-14 of the magnitude, so y0 < y1
+            y0 = max(float(vals.min()), -4e307)
+            y1 = min(float(vals.max()), 4e307)
+            pad = 0.05 * max(y1 - y0, 1e-12 * max(-y0, y1, 1.0))
             y0, y1 = y0 - pad, y1 + pad
         parts.append(
             f'<rect x="{ox}" y="{oy}" width="{_PANEL_W}" height="{_PANEL_H}" '

@@ -96,7 +96,6 @@ class WaveletSpec:
     degree: int | None = None
     window_kind: str | None = None
     omega0: float | None = None
-    phase: float | None = None
     sigma: float | None = None
     coefficients: tuple[float, ...] | None = field(default=None, repr=False)
     amplitude: float = 1.0
@@ -213,9 +212,9 @@ def make_spline_wavelet(degree: int) -> WaveletSpec:
     )
 
 
-def make_modulated_window(window_kind: str, omega0: float, phase: float = 0.0,
+def make_modulated_window(window_kind: str, omega0: float,
                           sigma: float = 1.0) -> WaveletSpec:
-    """Modulated localization window x -> w(x) * cos(omega0*x + phase).
+    """Modulated localization window x -> w(x) * cos(omega0*x).
 
     ``sinc2`` is w(x) = (sin x / x)^2 with w(0) = 1, bandlimited to (-2, 2);
     ``gauss`` is w(x) = exp(-x^2 / (2 sigma^2)).
@@ -225,14 +224,13 @@ def make_modulated_window(window_kind: str, omega0: float, phase: float = 0.0,
     omega0 = float(omega0)
     if not (omega0 >= 0.0 and np.isfinite(omega0)):
         raise InvalidParameterError(f"omega0 must be finite and >= 0, got {omega0}")
-    if window_kind == "gauss" and not sigma > 0:
-        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
+    if window_kind == "gauss" and not (sigma > 0 and math.isfinite(sigma)):
+        raise InvalidParameterError(f"sigma must be finite and positive, got {sigma}")
     return WaveletSpec(
         kind="modulated_window",
         support=None,
         window_kind=window_kind,
         omega0=omega0,
-        phase=float(phase),
         sigma=float(sigma),
     )
 
@@ -260,7 +258,7 @@ def _formula(spec: WaveletSpec | PiecewiseConstant, x: np.ndarray) -> np.ndarray
             w[nz] = (np.sin(x[nz]) / x[nz]) ** 2
         else:
             w = np.exp(-(x * x) / (2.0 * spec.sigma ** 2))
-        return w * np.cos(spec.omega0 * x + spec.phase)
+        return w * np.cos(spec.omega0 * x)
     raise InvalidParameterError(f"cannot evaluate spec of kind {spec.kind!r}")
 
 

@@ -75,6 +75,8 @@ class TestGen:
         ("haar-wavelet", "-1e308:1e308:1"),  # the sample count overflows
         ("haar-wavelet", "-inf:0:1"),
         ("sinc2-cos,1e308", "-4:4:1"),  # finite parameters, non-finite samples
+        ("sinc2-cos,3,0.5", "-4:4:1"),  # the modulated windows take no phase
+        ("gauss-cos,1,3,0", "-4:4:1"),
     ])
     def test_refusals_name_the_problem(self, tmp_path, capsys, wavelet, grid):
         assert_refused(capsys, ["gen", "--wavelet", wavelet, "--grid", grid,

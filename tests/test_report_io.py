@@ -438,6 +438,20 @@ class TestFigures:
         root = ET.parse(p).getroot()  # well-formed XML
         assert root.tag.endswith("svg")
 
+    # a flat panel lost its 1e-12 pad to rounding at 600 and divided by
+    # zero; a panel spanning +-1e308 overflowed its width
+    @pytest.mark.parametrize("values", [[0.0] * 3, [1.0] * 3, [600.0] * 3, [-2000.0] * 3,
+                                        [1e300] * 3, [-1e308, 0.0, 1e308]],
+                             ids=["0", "1", "600", "-2000", "1e300", "+-1e308"])
+    def test_auto_y_range_of_any_finite_panel(self, tmp_path, values):
+        sig = SampledSignal(Grid(-1.0, 1.0, 3), np.array(values))
+        p = tmp_path / "flat.svg"
+        render_figure([PanelSpec(curves=((sig, "original"),))], p)
+        points = ET.parse(p).getroot().find(".//{http://www.w3.org/2000/svg}polyline")
+        ys = [float(pair.split(",")[1]) for pair in points.get("points").split()]
+        top = report_io._MARGIN
+        assert all(top <= y <= top + report_io._PANEL_H for y in ys), ys
+
     def test_empty_panel_list_rejected(self, tmp_path):
         with pytest.raises(InvalidParameterError):
             render_figure([], tmp_path / "empty.svg")
@@ -454,9 +468,9 @@ class TestFigures:
             PanelSpec(curves=())
 
     # an empty range divides by zero, NaN writes "nan" coordinates, an
-    # infinite end warns, and lo > hi flips the plot
+    # infinite end or width warns, and lo > hi flips the plot
     @pytest.mark.parametrize("y_range", [(1.0, 1.0), (math.nan, 1.0), (0.0, math.inf),
-                                         (5.0, -5.0), (0.0,), ("0", "1")])
+                                         (-1e308, 1e308), (5.0, -5.0), (0.0,), ("0", "1")])
     def test_bad_y_range_rejected(self, grid_8, y_range):
         sig = sample(make_bspline_scaling(1), grid_8)
         with pytest.raises(InvalidParameterError, match="y_range"):

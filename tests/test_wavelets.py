@@ -198,15 +198,15 @@ class TestSplineWavelet:
 
 class TestModulatedWindow:
     def test_sinc2_at_zero(self):
-        w = make_modulated_window("sinc2", omega0=7.3, phase=0.0)
+        w = make_modulated_window("sinc2", omega0=7.3)
         assert evaluate(w, 0.0) == 1.0
 
     def test_sinc2_node_at_pi(self):
-        w = make_modulated_window("sinc2", omega0=0.0, phase=0.0)
+        w = make_modulated_window("sinc2", omega0=0.0)
         assert abs(evaluate(w, np.pi)) < 1e-30
 
     def test_gauss_at_zero(self):
-        w = make_modulated_window("gauss", omega0=2.0, phase=0.0, sigma=1.0)
+        w = make_modulated_window("gauss", omega0=2.0, sigma=1.0)
         assert evaluate(w, 0.0) == 1.0
 
     def test_parameter_validation(self):
@@ -214,8 +214,14 @@ class TestModulatedWindow:
             make_modulated_window("hann", omega0=1.0)
         with pytest.raises(InvalidParameterError):
             make_modulated_window("sinc2", omega0=-1.0)
-        with pytest.raises(InvalidParameterError):
-            make_modulated_window("gauss", omega0=1.0, sigma=0.0)
+        for sigma in (0.0, np.inf, np.nan):
+            with pytest.raises(InvalidParameterError):
+                make_modulated_window("gauss", omega0=1.0, sigma=sigma)
+
+    def test_no_phase(self):
+        # the window is w(x) * cos(omega0 x); there is no phase to set
+        with pytest.raises(TypeError):
+            make_modulated_window("sinc2", omega0=1.0, phase=0.0)
 
 
 class TestSample:
@@ -349,7 +355,7 @@ _GENERATOR_PARAMS = {
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_scalar_abscissa_gives_numpy_scalar(name):
-    factory, _, _ = GENERATORS[name]
+    factory, _ = GENERATORS[name]
     spec = factory(*_GENERATOR_PARAMS[name])
     for x in (0.25, -0.75, 100.0):  # inside and outside the supports
         assert type(evaluate(spec, x)) is np.float64
