@@ -118,13 +118,6 @@ class SobolevEstimate:
     smoothness_order: int
 
 
-def _power_overflows(grid: Grid, power: int) -> bool:
-    """Whether |x|^power overflows on the grid; ``pow`` is monotone in |x|,
-    so the first and last abscissas decide."""
-    with np.errstate(over="ignore"):
-        return not np.isfinite(np.abs(np.array([grid.x_min, grid.x_max])) ** power).all()
-
-
 def _weighted_signal(f: SampledSignal, power: int) -> SampledSignal:
     """x^power * f, with ``pow`` run only on the nonzero slice of f.
 
@@ -138,7 +131,11 @@ def _weighted_signal(f: SampledSignal, power: int) -> SampledSignal:
     v = f.values
     nonzero = v != 0.0
     lo, hi = int(nonzero.argmax()), v.size - int(nonzero[::-1].argmax())
-    if not nonzero[lo] or hi - lo == v.size or _power_overflows(f.grid, power):
+    # ``pow`` is monotone in |x|, so the first and last abscissas decide
+    # whether |x|^power overflows
+    with np.errstate(over="ignore"):
+        ends = np.abs(np.array([f.grid.x_min, f.grid.x_max])) ** power
+    if not nonzero[lo] or hi - lo == v.size or not np.isfinite(ends).all():
         return SampledSignal(f.grid, f.x() ** power * v)
     x = f.x()
     inner = x[lo:hi] ** power * v[lo:hi]
@@ -247,46 +244,15 @@ def _norm_bundle(psi: SampledSignal, n: int) -> dict[str, float]:
     return bundle
 
 
-# the largest power |x|^(n+1) that the certificate's maximum first
-# approximates by repeated multiplication; above it (and on the fallbacks
-# below) ``pow`` runs on the whole grid
-_PRODUCT_POWER_CAP = 64
-# the candidates' relative distance from the approximate maximum: over 100
-# times the approximation's error; a wider cut only admits more candidates
-_CANDIDATE_CUT = 1e-12
-
-
 def _empirical_constant(hpsi: SampledSignal, n: int, norm_sum: float) -> float:
-    """max |Hpsi| (1 + |x|^k) over the grid, k = n + 1, divided by ``norm_sum``;
-    ``pow`` runs only on the samples that can hold the maximum.
-
-    The approximation t = |x|^k by k - 1 multiplications rounds k - 1 times,
-    so |Hpsi| (1 + t) has a relative error of at most (k + 1) 2^-53; the
-    exact expression's ``pow`` is within one ulp, so it errs by at most
-    4 * 2^-53.  For k <= 64 the two differ by less than 8e-15 relative
-    wherever the product is a normal number, so every sample where the
-    exact expression is largest lies within ``_CANDIDATE_CUT`` of the
-    approximation's maximum.  An approximate maximum that is not finite,
-    or below twice the least normal number, or an |x|^k that overflows,
-    takes the exact expression on the whole grid, as do larger k.
-    """
-    k = n + 1
-    a = hpsi.x()
-    np.abs(a, out=a)
-    values = hpsi.values
-    if k <= _PRODUCT_POWER_CAP and not _power_overflows(hpsi.grid, k):
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = a.copy()
-            for _ in range(k - 1):
-                t *= a
-            t += 1.0
-            t *= values
-            np.abs(t, out=t)  # |v (1 + t)| is |v| (1 + t) bit for bit
-            top = t.max()
-        if 2.0 * np.finfo(float).tiny <= top < math.inf:
-            idx = np.flatnonzero(t >= top * (1.0 - _CANDIDATE_CUT))
-            return float(np.max(np.abs(values[idx]) * (1.0 + a[idx] ** k)) / norm_sum)
-    return float(np.max(np.abs(values) * (1.0 + a ** k)) / norm_sum)
+    """max |Hpsi| (1 + |x|^(n+1)) over the grid, divided by ``norm_sum``,
+    computed in place in one abscissa buffer."""
+    t = hpsi.x()
+    np.abs(t, out=t)
+    t **= n + 1
+    t += 1.0
+    t *= np.abs(hpsi.values)
+    return float(np.max(t) / norm_sum)
 
 
 def _zero_extend_double_span(f: SampledSignal) -> SampledSignal:
@@ -337,10 +303,7 @@ def tail_limit(f: SampledSignal, hf: SampledSignal, x_probe: float) -> tuple[flo
     must share a grid (:class:`GridMismatchError` otherwise).
     """
     _require_same_grid(f, hf, "f and hf")
-    try:
-        idx = f.grid.index_of(x_probe)
-    except ValueError as exc:
-        raise InvalidParameterError(str(exc)) from None
+    idx = f.grid.index_of(x_probe)
     x_snapped = f.grid.x_min + idx * f.grid.step
     probe_value = x_snapped * float(hf.values[idx])
     predicted = integrate(f) / math.pi
@@ -435,8 +398,9 @@ def partition_deviation(spec: WaveletSpec | PiecewiseConstant, k_range: int,
     """Deviation of sum_{|k| <= K} g(x - k) from 1 on the grid.
 
     g is the scaling function itself or its spectral Hilbert transform.
-    Only scaling-function generators are accepted: the sum is only expected
-    to be flat for partition-of-unity generators, and the point of the
+    Only scaling-function generators are accepted (a B-spline, or a step
+    function with one level, such as a box): the sum is only expected to be
+    flat for partition-of-unity generators, and the point of the
     transformed variant is to show exactly that flatness being destroyed.
     """
     if isinstance(spec, WaveletSpec):
@@ -446,6 +410,11 @@ def partition_deviation(spec: WaveletSpec | PiecewiseConstant, k_range: int,
             )
     elif not isinstance(spec, PiecewiseConstant):
         raise InvalidParameterError("unsupported generator for a partition sum")
+    elif len(spec.levels) != 1:
+        raise InvalidParameterError(
+            "partition sums need a scaling-function generator, got a step function "
+            f"with {len(spec.levels)} levels"
+        )
     k_range = check_integer(k_range, "k_range", 0)
     x = grid.abscissas()
     total = np.zeros(grid.count)

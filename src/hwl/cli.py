@@ -212,14 +212,18 @@ def analyze_sobolev(args):
 
 def analyze_bedrosian(args):
     grid = parse_grid(args.grid)
-    residual = analysis.bedrosian_residual(args.window, args.omega0, grid, sigma=args.sigma)
+    params = {"window": args.window, "omega0": args.omega0, "grid": args.grid}
+    if args.window == "gauss":
+        params["sigma"] = 1.0 if args.sigma is None else args.sigma
+    elif args.sigma is not None:
+        raise UsageError(f"--sigma applies to --window gauss only, not {args.window}")
+    residual = analysis.bedrosian_residual(args.window, args.omega0, grid,
+                                           sigma=params.get("sigma", 1.0))
     checks = {}
     if args.max_residual is not None:
         checks["max_residual"] = residual < args.max_residual
     if args.min_residual is not None:
         checks["min_residual"] = residual > args.min_residual
-    params = {"window": args.window, "omega0": args.omega0,
-              "sigma": args.sigma, "grid": args.grid}
     return ("bedrosian_residual", {"residual": residual}), "", checks, params
 
 
@@ -378,7 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = asub.add_parser("bedrosian")
     p.add_argument("--window", required=True, choices=("sinc2", "gauss"))
     p.add_argument("--omega0", type=finite_float, required=True)
-    p.add_argument("--sigma", type=finite_float, default=1.0)
+    p.add_argument("--sigma", type=finite_float, default=None,
+                   help="Gaussian width, for --window gauss only (default 1)")
     p.add_argument("--grid", required=True)
     p.add_argument("--max-residual", type=finite_float, default=None)
     p.add_argument("--min-residual", type=finite_float, default=None)

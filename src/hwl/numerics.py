@@ -99,7 +99,9 @@ class Grid:
         # an infinite x, or a quotient that overflows, lies outside as well
         i = int(round(pos)) if np.isfinite(pos) else -1
         if i < 0 or i >= self.count:
-            raise ValueError(f"x = {x} lies outside the grid [{self.x_min}, {self.x_max}]")
+            raise InvalidParameterError(
+                f"x = {x} lies outside the grid [{self.x_min}, {self.x_max}]"
+            )
         return i
 
 

@@ -200,8 +200,8 @@ def _weighted_reference(f, power):
 
 
 def _constant_reference(hpsi, n, norm_sum):
-    """The certificate's constant as one whole-grid expression: the
-    reference for the candidate search in ``_empirical_constant``."""
+    """The certificate's constant as one whole-grid expression, written
+    out of place: the reference for ``_empirical_constant``."""
     x = hpsi.x()
     return float(np.max(np.abs(hpsi.values) * (1.0 + np.abs(x) ** (n + 1))) / norm_sum)
 
@@ -270,10 +270,11 @@ class TestExactPowers:
 
     @pytest.mark.parametrize("n", [7, 11, 21])
     def test_candidates_keep_a_sample_the_approximation_ranks_lower(self, grid_16, n):
-        # at sample i, k - 1 multiplications put 1 + |x|^k at least 2 ulps
-        # above 1 + pow(|x|, k); sample j sits at x = 1, its exact value in
-        # between, so the approximation ranks i first and the exact
-        # expression j
+        # a regression guard against approximating |x|^k by k - 1
+        # multiplications: at sample i that chain puts 1 + |x|^k at least
+        # 2 ulps above 1 + pow(|x|, k); sample j sits at x = 1, its exact
+        # value in between, so the chain would rank i first and the exact
+        # expression ranks j
         k = n + 1
         a = np.abs(grid_16.abscissas())
         chain = a.copy()
@@ -319,8 +320,8 @@ class TestExactPowers:
 
     def test_certificate_memory(self):
         # the 2^18+1-sample cubic-wavelet pair of the CLI pipeline; the
-        # whole-grid expressions peaked at 24.0 MiB, the candidate search at
-        # 20.1 MiB (the doubled grid's transform dominates): 2 MiB of margin
+        # certificate peaks at 20.0 MiB, set by the doubled grid's transform,
+        # since the constant is computed in one abscissa buffer: 2 MiB of margin
         grid = Grid(-128.0, 2.0 ** -10, 2 ** 18 + 1)
         psi = sample(make_spline_wavelet(3), grid)
         hpsi = hilbert_spectral(psi)
@@ -531,6 +532,12 @@ class TestPartition:
     def test_wavelet_spec_rejected(self, grid_16):
         with pytest.raises(InvalidParameterError):
             analysis.partition_deviation(make_spline_wavelet(2), 10, False, grid_16)
+
+    # the Haar wavelet is a step function as the box is, but with two levels
+    @pytest.mark.parametrize("transformed", [False, True])
+    def test_step_wavelet_rejected(self, grid_16, transformed):
+        with pytest.raises(InvalidParameterError, match="2 levels"):
+            analysis.partition_deviation(make_haar_wavelet(), 10, transformed, grid_16)
 
     @pytest.mark.parametrize("k_range", [2.5, -1])
     def test_bad_k_range_refused(self, grid_16, k_range):

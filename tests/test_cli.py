@@ -220,6 +220,23 @@ class TestAnalyze:
         payload = json.loads(report.read_text())
         assert payload["pass"] is True
         assert payload["residual"] < 1e-4
+        # the sinc2 window has no width, so the report records none
+        assert "sigma" not in payload["parameters"]
+
+    @pytest.mark.parametrize("sigma, want", [(None, 1.0), (2, 2.0)])
+    def test_bedrosian_gauss_records_sigma(self, tmp_path, sigma, want):
+        report = tmp_path / "bed.json"
+        extra = [] if sigma is None else ["--sigma", sigma]
+        assert run(["analyze", "bedrosian", "--window", "gauss", "--omega0", 3,
+                    "--grid", "-32:32:0.0625", *extra, "--json", report]) == 0
+        assert json.loads(report.read_text())["parameters"]["sigma"] == want
+
+    def test_bedrosian_sigma_with_sinc2_is_usage_error(self, tmp_path, capsys):
+        err = assert_refused(capsys, ["analyze", "bedrosian", "--window", "sinc2",
+                                      "--omega0", 3, "--sigma", 1, "--grid", "-8:8:0.0625",
+                                      "--json", tmp_path / "bed.json"], 2)
+        assert "--sigma applies to --window gauss only" in err
+        assert not (tmp_path / "bed.json").exists()
 
     def test_certificate_report(self, tmp_path):
         psi = tmp_path / "w3.csv"
@@ -358,6 +375,23 @@ class TestAnalyze:
         payload = json.loads(report.read_text())
         assert payload["pass"] is True
         assert payload["max_abs_central"] < 1e-9
+
+    @pytest.mark.parametrize("wavelet", ["haar-scaling", "box,-0.5,0.5"])
+    def test_partition_of_a_box(self, tmp_path, wavelet):
+        report = tmp_path / "part.json"
+        assert run(["analyze", "partition", "--wavelet", wavelet, "--k", 4,
+                    "--grid", "-8:8:0.0625", "--json", report]) == 0
+        assert json.loads(report.read_text())["max_abs_central"] == 0.0
+
+    # the Haar wavelet is a step function, as the boxes are, and the same
+    # wavelet as spline-wavelet,0 up to shift and scale
+    @pytest.mark.parametrize("wavelet", ["haar-wavelet", "spline-wavelet,0"])
+    def test_partition_of_a_wavelet_is_usage_error(self, tmp_path, capsys, wavelet):
+        err = assert_refused(capsys, ["analyze", "partition", "--wavelet", wavelet,
+                                      "--k", 4, "--grid", "-8:8:0.0625",
+                                      "--json", tmp_path / "p.json"], 2)
+        assert "scaling-function generator" in err
+        assert not (tmp_path / "p.json").exists()
 
 
 class TestFigure:

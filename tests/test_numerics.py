@@ -66,7 +66,7 @@ class TestGrid:
 
     def test_index_of_outside(self):
         g = Grid(0.0, 1.0, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameterError, match="outside the grid"):
             g.index_of(10.0)
 
 
