@@ -12,7 +12,7 @@ stability of the norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .numerics import (  # noqa: F401
     GRID_TOLERANCE, Grid, SampledSignal, check_integer, derivative, dft, integrate, l1_norm,
     mixed_norm, sup_norm,
 )
-from .wavelets import PiecewiseConstant, WaveletSpec, evaluate, make_modulated_window, sample
+from .wavelets import PiecewiseConstant, WaveletSpec, evaluate, sample
 from .hilbert import hilbert_spectral
 
 __all__ = [
@@ -204,7 +204,10 @@ def fit_decay(f: SampledSignal, window: tuple[float, float], side: str = "two_si
     skipped and counted in ``excluded_count``; the fit errors out if fewer
     than 8 points survive or more than half the window is skipped.
     """
-    lo, hi = float(window[0]), float(window[1])
+    try:
+        lo, hi = (float(v) for v in window)
+    except (TypeError, ValueError):
+        raise FitWindowError(f"window must be two numbers lo, hi, got {window!r}") from None
     if not (0.0 < lo < hi):
         raise FitWindowError(f"window must satisfy 0 < lo < hi, got [{lo}, {hi}]")
     if side not in ("left", "right", "two_sided"):
@@ -365,29 +368,31 @@ def smoothness_profile(f: SampledSignal, gamma_grid) -> SobolevEstimate:
     )
 
 
-def bedrosian_residual(window_kind: str, omega0: float, grid: Grid,
-                       sigma: float = 1.0) -> float:
+def bedrosian_residual(window: WaveletSpec, grid: Grid) -> float:
     """Sup distance between H[w(x)cos(omega0 x)] and w(x)sin(omega0 x).
 
+    ``window`` is a modulated window (``wavelets.make_modulated_window``).
     Measured over the central half of the grid with the spectral engine.
     Vanishes (to sampling/truncation error) when the window is bandlimited
     below omega0; order-one when the modulation identity's hypothesis is
     violated.  Rejects grids whose edges still carry more than 1e-4 of the
     window envelope.
     """
-    spec = make_modulated_window(window_kind, omega0, sigma=sigma)
+    if not (isinstance(window, WaveletSpec) and window.kind == "modulated_window"):
+        raise InvalidParameterError(
+            f"the Bedrosian check needs a modulated window, got {window!r}"
+        )
     x = grid.abscissas()
     # the unmodulated window: cos(0*x) is exactly 1
-    w = evaluate(make_modulated_window(window_kind, 0.0, sigma=sigma), x)
+    w = evaluate(replace(window, omega0=0.0), x)
     envelope_edge = max(w[0], w[-1])
     if envelope_edge >= 1e-4:
         raise GridTooNarrowError(
             f"window envelope is {envelope_edge:.2e} at the grid edge; "
             "widen the grid so truncation cannot masquerade as a residual"
         )
-    modulated = sample(spec, grid)
-    transformed = hilbert_spectral(modulated)
-    target = w * np.sin(omega0 * x)
+    transformed = hilbert_spectral(sample(window, grid))
+    target = w * np.sin(window.omega0 * x)
     center = 0.5 * (x[0] + x[-1])
     central = np.abs(x - center) <= 0.25 * grid.span
     return float(np.max(np.abs(transformed.values - target)[central]))

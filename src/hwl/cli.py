@@ -212,13 +212,11 @@ def analyze_sobolev(args):
 
 def analyze_bedrosian(args):
     grid = parse_grid(args.grid)
+    window = wavelets.make_modulated_window(args.window, args.omega0, sigma=args.sigma)
     params = {"window": args.window, "omega0": args.omega0, "grid": args.grid}
-    if args.window == "gauss":
-        params["sigma"] = 1.0 if args.sigma is None else args.sigma
-    elif args.sigma is not None:
-        raise UsageError(f"--sigma applies to --window gauss only, not {args.window}")
-    residual = analysis.bedrosian_residual(args.window, args.omega0, grid,
-                                           sigma=params.get("sigma", 1.0))
+    if window.sigma is not None:
+        params["sigma"] = window.sigma
+    residual = analysis.bedrosian_residual(window, grid)
     checks = {}
     if args.max_residual is not None:
         checks["max_residual"] = residual < args.max_residual

@@ -192,16 +192,9 @@ def read_signal_csv(path) -> SampledSignal:
 
 
 def _jsonable(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
+    """``json``'s ``default`` hook: NumPy scalars and arrays as Python values."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -224,7 +217,7 @@ def _kind_and_fields(report) -> tuple[str, dict]:
 
 def _is_strict(value) -> bool:
     try:
-        json.dumps(value, allow_nan=False)
+        json.dumps(value, allow_nan=False, default=_jsonable)
     except ValueError:
         return False
     return True
@@ -244,9 +237,9 @@ def write_report_json(report, path, input_digest: str = "", extra: dict | None =
     for key, value in (*fields.items(), *(extra or {}).items()):
         if key in payload:
             raise InvalidParameterError(f"report field {key!r} collides with the schema")
-        payload[key] = _jsonable(value)
+        payload[key] = value
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=_jsonable)
     except ValueError:
         bad = sorted(key for key, value in payload.items() if not _is_strict(value))
         raise SchemaError(f"{kind} report fields are not finite: {', '.join(bad)}") from None

@@ -107,8 +107,7 @@ def cardinal_bspline(order: int, t) -> np.ndarray:
     Evaluated by the Cox-de Boor recursion over the integer knot lattice;
     vectorized in ``t`` and O(order^2) in work.  A NaN ``t`` gives NaN, an infinite one 0.0.
     """
-    if order < 1:
-        raise InvalidParameterError(f"order must be >= 1, got {order}")
+    order = check_integer(order, "order", 1)
     # inf * 0 in the recursion would give NaN; -1 lies outside every support
     t = np.where(np.isinf(t), -1.0, np.asarray(t, dtype=np.float64))
     cols = [((t - j >= 0.0) & (t - j < 1.0)).astype(np.float64) for j in range(order)]
@@ -213,35 +212,39 @@ def make_spline_wavelet(degree: int) -> WaveletSpec:
 
 
 def make_modulated_window(window_kind: str, omega0: float,
-                          sigma: float = 1.0) -> WaveletSpec:
+                          sigma: float | None = None) -> WaveletSpec:
     """Modulated localization window x -> w(x) * cos(omega0*x).
 
-    ``sinc2`` is w(x) = (sin x / x)^2 with w(0) = 1, bandlimited to (-2, 2);
-    ``gauss`` is w(x) = exp(-x^2 / (2 sigma^2)).
+    ``sinc2`` is w(x) = (sin x / x)^2 with w(0) = 1, bandlimited to (-2, 2),
+    and takes no ``sigma`` (its spec carries None);
+    ``gauss`` is w(x) = exp(-x^2 / (2 sigma^2)), with sigma 1.0 when not given.
     """
     if window_kind not in ("sinc2", "gauss"):
         raise InvalidParameterError(f"unknown window kind {window_kind!r}")
     omega0 = float(omega0)
     if not (omega0 >= 0.0 and np.isfinite(omega0)):
         raise InvalidParameterError(f"omega0 must be finite and >= 0, got {omega0}")
-    if window_kind == "gauss" and not (sigma > 0 and math.isfinite(sigma)):
-        raise InvalidParameterError(f"sigma must be finite and positive, got {sigma}")
+    if window_kind == "gauss":
+        sigma = 1.0 if sigma is None else sigma
+        if not (sigma > 0 and math.isfinite(sigma)):
+            raise InvalidParameterError(f"sigma must be finite and positive, got {sigma}")
+        sigma = float(sigma)
+    elif sigma is not None:
+        raise InvalidParameterError(f"sigma applies to the gauss window only, not {window_kind}")
     return WaveletSpec(
         kind="modulated_window",
         support=None,
         window_kind=window_kind,
         omega0=omega0,
-        sigma=float(sigma),
+        sigma=sigma,
     )
 
 
 def _formula(spec: WaveletSpec | PiecewiseConstant, x: np.ndarray) -> np.ndarray:
     # the per-kind formula, at every abscissa it is given
     if isinstance(spec, PiecewiseConstant):
-        out = np.zeros_like(x)
-        for a, b, v in zip(spec.breakpoints, spec.breakpoints[1:], spec.levels):
-            out = np.where((x >= a) & (x < b), v, out)
-        return out
+        # half-open [a, b) pieces; NaN sorts after every breakpoint, so gives 0.0
+        return np.array((0.0, *spec.levels, 0.0))[np.searchsorted(spec.breakpoints, x, "right")]
     if spec.kind == "bspline_scaling":
         return cardinal_bspline(spec.degree + 1, x + (spec.degree + 1) / 2.0)
     if spec.kind == "spline_wavelet":

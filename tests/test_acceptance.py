@@ -43,6 +43,7 @@ from hwl.wavelets import (
     make_box,
     make_bspline_scaling,
     make_haar_wavelet,
+    make_modulated_window,
     make_spline_wavelet,
     sample,
 )
@@ -213,8 +214,8 @@ def test_criterion_08_bedrosian():
     """Modulation identity: residual < 1e-4 for the bandlimited window at
     omega0 = 3; residual > 1e-2 at omega0 = 1 where the hypothesis fails."""
     g = make_grid(-128.0, 128.0, 2.0 ** -7)
-    res_hi = analysis.bedrosian_residual("sinc2", 3.0, g)
-    res_lo = analysis.bedrosian_residual("sinc2", 1.0, g)
+    res_hi = analysis.bedrosian_residual(make_modulated_window("sinc2", 3.0), g)
+    res_lo = analysis.bedrosian_residual(make_modulated_window("sinc2", 1.0), g)
     ok = res_hi < 1e-4 and res_lo > 1e-2
     check("8", ok, f"residual(omega0=3) = {res_hi:.2e} (want < 1e-4); "
                    f"residual(omega0=1) = {res_lo:.2e} (want > 1e-2)")

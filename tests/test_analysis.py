@@ -135,6 +135,14 @@ class TestFitDecay:
         assert b.exponent == pytest.approx(a.exponent, abs=1e-12)
         assert b.r_squared == pytest.approx(a.r_squared, abs=1e-12)
 
+    @pytest.mark.parametrize("window", [(3.0, 12.0, 99.0), (3.0,), 3.0, ("a", "b")])
+    def test_window_must_be_two_numbers(self, grid_64, window):
+        # a third number was dropped and fit [3, 12]; one number raised IndexError
+        x = grid_64.abscissas()
+        f = SampledSignal(grid_64, 1.0 / (1.0 + x ** 2))
+        with pytest.raises(FitWindowError, match="two numbers"):
+            analysis.fit_decay(f, window)
+
     def test_window_outside_grid(self, grid_8):
         f = SampledSignal(grid_8, np.ones(grid_8.count))
         with pytest.raises(FitWindowError):
@@ -468,15 +476,15 @@ class TestSobolev:
 class TestBedrosian:
     def test_bandlimited_window_above_band(self):
         g = make_grid(-128.0, 128.0, 2.0 ** -7)
-        assert analysis.bedrosian_residual("sinc2", 3.0, g) < 1e-4
+        assert analysis.bedrosian_residual(make_modulated_window("sinc2", 3.0), g) < 1e-4
 
     def test_hypothesis_violated_inside_band(self):
         g = make_grid(-128.0, 128.0, 2.0 ** -7)
-        assert analysis.bedrosian_residual("sinc2", 1.0, g) > 1e-2
+        assert analysis.bedrosian_residual(make_modulated_window("sinc2", 1.0), g) > 1e-2
 
     def test_zero_frequency_degenerates_to_sup(self):
         g = make_grid(-128.0, 128.0, 2.0 ** -7)
-        res = analysis.bedrosian_residual("sinc2", 0.0, g)
+        res = analysis.bedrosian_residual(make_modulated_window("sinc2", 0.0), g)
         w = sample(make_modulated_window("sinc2", 0.0), g)
         hw = hilbert_spectral(w)
         x = g.abscissas()
@@ -485,12 +493,23 @@ class TestBedrosian:
 
     def test_gauss_window_passes_when_wide(self):
         g = make_grid(-32.0, 32.0, 2.0 ** -7)
-        assert analysis.bedrosian_residual("gauss", 4.0, g, sigma=1.0) < 1e-3
+        assert analysis.bedrosian_residual(make_modulated_window("gauss", 4.0, sigma=1.0), g) < 1e-3
 
     def test_narrow_grid_rejected(self):
         g = make_grid(-4.0, 4.0)
         with pytest.raises(GridTooNarrowError):
-            analysis.bedrosian_residual("gauss", 3.0, g, sigma=1.0)
+            analysis.bedrosian_residual(make_modulated_window("gauss", 3.0, sigma=1.0), g)
+
+    def test_gauss_residual_bits(self):
+        # the residual the check gave when it took (kind, omega0, grid, sigma)
+        g = Grid(-64.0, 0.0625, 2049)
+        window = make_modulated_window("gauss", 4.0, sigma=1.5)
+        assert analysis.bedrosian_residual(window, g) == 9.987449152172628e-10
+
+    @pytest.mark.parametrize("window", [make_bspline_scaling(3), make_box(-1.0, 1.0), "sinc2"])
+    def test_refuses_what_is_not_a_modulated_window(self, window):
+        with pytest.raises(InvalidParameterError, match="modulated window"):
+            analysis.bedrosian_residual(window, make_grid(-32.0, 32.0))
 
 
 class TestPartition:

@@ -235,7 +235,7 @@ class TestAnalyze:
         err = assert_refused(capsys, ["analyze", "bedrosian", "--window", "sinc2",
                                       "--omega0", 3, "--sigma", 1, "--grid", "-8:8:0.0625",
                                       "--json", tmp_path / "bed.json"], 2)
-        assert "--sigma applies to --window gauss only" in err
+        assert "sigma applies to the gauss window only, not sinc2" in err
         assert not (tmp_path / "bed.json").exists()
 
     def test_certificate_report(self, tmp_path):

@@ -1,6 +1,7 @@
 """Every exported name resolves, so a stale ``__all__`` entry fails here
 rather than at a user's import."""
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -36,3 +37,33 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
                if not hasattr(importlib.import_module(module), attr)]
     assert not missing, f"names the tracer wraps are gone: {missing}"
     assert hasattr(hwl, "PV_BACKEND")
+
+
+@pytest.mark.parametrize("path", sorted(Path(hwl.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    """Every name a module of ``hwl`` imports is read in it (as a name or the
+    root of an attribute, annotations included) or listed in its ``__all__``;
+    an import whose first line carries ``# noqa: F401`` is exempt.  No linter
+    is a dependency, so this is the dead-import check."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or "# noqa: F401" in lines[node.lineno - 1]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    unused = {name: line for name, line in imported.items()
+              if name not in read and name not in exported}
+    assert not unused, f"{path.name} imports names it never reads: {unused}"

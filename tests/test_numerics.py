@@ -196,6 +196,17 @@ class TestDerivative:
         d = derivative(SampledSignal(grid_8, np.full(grid_8.count, 3.5)))
         assert np.all(d.values == 0.0)
 
+    @pytest.mark.parametrize("count", [2, 3, 2 ** 12 + 1])
+    def test_matches_explicit_stencil(self, count):
+        # central differences inside, one-sided at the two ends, bit for bit
+        g = Grid(-1.25, 0.37, count)
+        v = np.random.default_rng(count).standard_normal(count)
+        want = np.empty(count)
+        want[1:-1] = (v[2:] - v[:-2]) / (2.0 * g.step)
+        want[0] = (v[1] - v[0]) / g.step
+        want[-1] = (v[-1] - v[-2]) / g.step
+        assert derivative(SampledSignal(g, v)).values.tobytes() == want.tobytes()
+
     def test_parabola_interior(self):
         g = make_grid(-1.0, 1.0)
         d = derivative(SampledSignal(g, g.abscissas() ** 2))

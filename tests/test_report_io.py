@@ -402,6 +402,22 @@ class TestReportJson:
         assert payload["residual"] == 0.5
         assert payload["pass"] is True and payload["parameters"] == {"k": 4}
 
+    def test_numpy_arrays_serialize(self, tmp_path):
+        p = tmp_path / "arr.json"
+        write_report_json(("bedrosian_residual", {"residual": np.float64(0.5)}), p,
+                          extra={"parameters": {"gammas": np.array([0.0, 1.5]),
+                                                "k": np.arange(4).reshape(2, 2)}})
+        payload = json.loads(p.read_text(encoding="utf-8"))
+        assert payload["parameters"] == {"gammas": [0.0, 1.5], "k": [[0, 1], [2, 3]]}
+        # a non-finite array entry names its field, and anything else is refused
+        with pytest.raises(SchemaError, match="parameters"):
+            write_report_json(("bedrosian_residual", {"residual": 0.5}), tmp_path / "nan.json",
+                              extra={"parameters": np.array([np.nan])})
+        with pytest.raises(TypeError, match="cannot serialize"):
+            write_report_json(("bedrosian_residual", {"residual": object()}),
+                              tmp_path / "obj.json")
+        assert not (tmp_path / "nan.json").exists() and not (tmp_path / "obj.json").exists()
+
     def test_extra_fields_cannot_shadow_schema(self, tmp_path, grid_16):
         report = sample_reports(grid_16)["decay_fit"]
         with pytest.raises(InvalidParameterError):

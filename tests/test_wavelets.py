@@ -1,5 +1,6 @@
 """Generators: Haar family, B-splines, spline wavelets, modulated windows."""
 
+import re
 import warnings
 
 import numpy as np
@@ -56,6 +57,18 @@ class TestPiecewiseConstant:
         # the function NaN inside it
         with pytest.raises(InvalidParameterError, match="finite"):
             PiecewiseConstant(breakpoints=breakpoints, levels=levels)
+
+    def test_lookup_matches_per_level_reference(self):
+        # the per-level ``np.where`` the one lookup replaced, bit for bit, at
+        # every breakpoint and its neighbours, at +-0.0, NaN and +-inf
+        pc = PiecewiseConstant(breakpoints=(-2.0, -0.5, 0.0, 1.5), levels=(3.0, -0.0, -2.0))
+        bp = np.array(pc.breakpoints)
+        x = np.concatenate([np.linspace(-3.0, 3.0, 601), bp, np.nextafter(bp, -np.inf),
+                            np.nextafter(bp, np.inf), [0.0, -0.0, np.nan, np.inf, -np.inf]])
+        want = np.zeros_like(x)
+        for a, b, v in zip(pc.breakpoints, pc.breakpoints[1:], pc.levels):
+            want = np.where((x >= a) & (x < b), v, want)
+        assert evaluate(pc, x).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)])
     def test_box_non_finite_refused(self, a, b):
@@ -218,6 +231,15 @@ class TestModulatedWindow:
             with pytest.raises(InvalidParameterError):
                 make_modulated_window("gauss", omega0=1.0, sigma=sigma)
 
+    def test_sigma_belongs_to_gauss(self):
+        # the library, not only the CLI, refuses a width the sinc2 window ignores
+        for sigma in (2.0, 1.0, np.nan):
+            with pytest.raises(InvalidParameterError,
+                               match="sigma applies to the gauss window only, not sinc2"):
+                make_modulated_window("sinc2", omega0=1.0, sigma=sigma)
+        assert make_modulated_window("sinc2", omega0=1.0).sigma is None
+        assert make_modulated_window("gauss", omega0=1.0).sigma == 1.0
+
     def test_no_phase(self):
         # the window is w(x) * cos(omega0 x); there is no phase to set
         with pytest.raises(TypeError):
@@ -309,6 +331,23 @@ def test_cardinal_bspline_known_values():
     np.testing.assert_allclose(
         cardinal_bspline(4, np.array([1.0, 2.0, 3.0])), [1 / 6, 2 / 3, 1 / 6]
     )
+
+
+@pytest.mark.parametrize("order, message", [
+    (True, "order must be an integer, got True"),
+    (2.5, "order must be an integer, got 2.5"),
+    ("3", "order must be an integer, got '3'"),
+    (0, "order must be >= 1, got 0"),
+    (-1, "order must be >= 1, got -1"),
+])
+def test_cardinal_bspline_order_refused(order, message):
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        cardinal_bspline(order, np.array([0.5]))
+
+
+def test_cardinal_bspline_integral_float_order():
+    t = np.linspace(-1.0, 5.0, 61)
+    assert cardinal_bspline(3.0, t).tobytes() == cardinal_bspline(3, t).tobytes()
 
 
 def _cardinal_bspline_reference(order, t):
