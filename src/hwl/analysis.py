@@ -12,6 +12,7 @@ stability of the norm.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,8 +23,8 @@ from .errors import (
 # nothing here calls ``derivative``; it is imported because the benchmark's
 # tracer (hwlbench/trace.py) wraps it under this module's name
 from .numerics import (  # noqa: F401
-    GRID_TOLERANCE, Grid, SampledSignal, check_integer, derivative, dft, integrate, l1_norm,
-    mixed_norm, sup_norm,
+    GRID_TOLERANCE, Grid, SampledSignal, check_integer, check_real, derivative, dft, integrate,
+    l1_norm, mixed_norm, sup_norm,
 )
 from .wavelets import PiecewiseConstant, WaveletSpec, evaluate, sample
 from .hilbert import hilbert_spectral
@@ -89,9 +90,10 @@ class BoundCertificate:
     ``empirical_constant`` is sup |Hf(x)| (1+|x|^(n+1)) / norm_sum on the
     given grid; ``empirical_constant_doubled`` repeats the computation on a
     zero-extended, span-doubled grid (transform recomputed spectrally).
-    ``stable`` means the constant grew by less than 5% under doubling: a
-    genuine tail of lower order than asserted makes it grow roughly
-    linearly with span, which the probe catches decisively.
+    ``stable`` means the constant moved by less than 5% either way under
+    doubling: a genuine tail of lower order than asserted makes it grow
+    roughly linearly with span, and a grid that cuts psi short makes it
+    shrink.
     """
 
     theorem: str
@@ -147,8 +149,7 @@ def _weighted_signal(f: SampledSignal, power: int) -> SampledSignal:
 def moments(f: SampledSignal, k_max: int, tolerance: float | None = None) -> MomentReport:
     """Trapezoid moments of orders 0..k_max with truncation-aware tolerances."""
     k_max = check_integer(k_max, "k_max", 0)
-    if tolerance is not None and not 0.0 <= tolerance < math.inf:
-        raise InvalidParameterError(f"tolerance must be finite and >= 0, got {tolerance}")
+    tolerance = None if tolerance is None else check_real(tolerance, "tolerance", 0.0)
     x = f.x()
     edge_x = max(abs(x[0]), abs(x[-1]))
     edge_f = max(abs(f.values[0]), abs(f.values[-1]))
@@ -205,7 +206,7 @@ def fit_decay(f: SampledSignal, window: tuple[float, float], side: str = "two_si
     than 8 points survive or more than half the window is skipped.
     """
     try:
-        lo, hi = (float(v) for v in window)
+        lo, hi = (check_real(v, "window end") for v in window)
     except (TypeError, ValueError):
         raise FitWindowError(f"window must be two numbers lo, hi, got {window!r}") from None
     if not (0.0 < lo < hi):
@@ -275,12 +276,15 @@ def theorem_certificate(psi: SampledSignal, hpsi: SampledSignal, n: int) -> Boun
     inputs whose tail genuinely matches the asserted order keep the
     constant flat, while an undersized decay (a scaling function probed
     with n >= 1) blows it up roughly linearly.  ``psi`` and ``hpsi`` must
-    share a grid (:class:`GridMismatchError` otherwise).
+    share a grid (:class:`GridMismatchError` otherwise), and an all-zero
+    ``psi`` is refused (:class:`InvalidParameterError`).
     """
     n = check_integer(n, "n", 0)
     _require_same_grid(psi, hpsi, "psi and hpsi")
     bundle = _norm_bundle(psi, n)
     norm_sum = float(sum(bundle.values()))
+    if norm_sum == 0.0:
+        raise InvalidParameterError("psi is zero on the grid; the certificate divides by its norms")
     c1 = _empirical_constant(hpsi, n, norm_sum)
 
     psi2 = _zero_extend_double_span(psi)
@@ -293,7 +297,7 @@ def theorem_certificate(psi: SampledSignal, hpsi: SampledSignal, n: int) -> Boun
         norm_bundle=bundle,
         empirical_constant=c1,
         empirical_constant_doubled=c2,
-        stable=bool(c2 - c1 < 0.05 * c1),
+        stable=bool(abs(c2 - c1) < 0.05 * c1),
     )
 
 
@@ -325,9 +329,7 @@ def _sobolev_norms(f: SampledSignal, gammas) -> list[float]:
 
 def sobolev_norm(f: SampledSignal, gamma: float) -> float:
     """Spectral Sobolev norm: (sum (1+w^2)^gamma |f^(w)|^2 dw/2pi)^(1/2)."""
-    if not 0.0 <= gamma < math.inf:
-        raise InvalidParameterError(f"gamma must be finite and >= 0, got {gamma}")
-    return _sobolev_norms(f, [gamma])[0]
+    return _sobolev_norms(f, [check_real(gamma, "gamma", 0.0)])[0]
 
 
 def _coarsen(f: SampledSignal) -> SampledSignal:
@@ -336,18 +338,17 @@ def _coarsen(f: SampledSignal) -> SampledSignal:
     return SampledSignal(Grid(g.x_min, 2.0 * g.step, len(values)), values)
 
 
-def smoothness_profile(f: SampledSignal, gamma_grid) -> SobolevEstimate:
+def smoothness_profile(f: SampledSignal, gamma_grid: Iterable[float]) -> SobolevEstimate:
     """Sobolev norms over a gamma grid with a 2x-coarsening stability probe.
 
     A sampled signal can never literally have an infinite norm, so
     membership in the gamma-smoothness class is read off stability: norms
     that keep growing as resolution increases are flagged unstable.
     """
-    gammas = [float(g) for g in gamma_grid]
+    iterable = isinstance(gamma_grid, Iterable)  # a string is, and its characters are refused
+    gammas = [check_real(g, "gamma", 0.0) for g in gamma_grid] if iterable else []
     if not gammas:
-        raise InvalidParameterError("gamma_grid must be nonempty")
-    if not all(0.0 <= g < math.inf for g in gammas):
-        raise InvalidParameterError("gamma_grid entries must be finite and >= 0")
+        raise InvalidParameterError(f"gamma_grid needs one or more numbers, got {gamma_grid!r}")
     if f.grid.count < 3:
         raise GridTooNarrowError("the 2x-coarsening probe needs at least 3 samples")
     coarse = _coarsen(f)

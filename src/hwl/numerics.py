@@ -8,6 +8,7 @@ here once and shared by everything downstream (see :func:`dft`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,7 @@ from .errors import InvalidParameterError
 
 __all__ = [
     "check_integer",
+    "check_real",
     "Grid",
     "SampledSignal",
     "Spectrum",
@@ -48,6 +50,22 @@ def check_integer(value, name: str, minimum: int) -> int:
     return result
 
 
+def check_real(value, name: str, minimum: float = -math.inf, *, strict: bool = False) -> float:
+    """``value`` as a ``float``, refused unless it is finite and >= ``minimum``
+    (> with ``strict``).  Python and NumPy ints and floats are accepted; a
+    bool, a string or anything else raises :class:`InvalidParameterError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    try:
+        result = float(value)
+    except OverflowError:  # an int beyond the float range
+        result = math.inf
+    if not (math.isfinite(result) and (result > minimum if strict else result >= minimum)):
+        raise InvalidParameterError(
+            f"{name} must be finite and {'>' if strict else '>='} {minimum}, got {result}")
+    return result
+
+
 GRID_TOLERANCE = 1e-9  # abscissas this fraction of a step apart are one grid point
 
 
@@ -71,16 +89,13 @@ class Grid:
     count: int
 
     def __post_init__(self):
-        if not (-np.inf < self.x_min < np.inf and 0.0 < self.step < np.inf):
-            raise InvalidParameterError(f"grid needs a finite x_min and a finite positive "
-                                        f"step, got {self.x_min} and {self.step}")
+        object.__setattr__(self, "x_min", check_real(self.x_min, "grid x_min"))
+        object.__setattr__(self, "step", check_real(self.step, "grid step", 0.0, strict=True))
         object.__setattr__(self, "count", check_integer(self.count, "grid count", 2))
         try:
-            finite = np.isfinite(self.x_max)
-        except OverflowError:  # a count beyond the float range
-            finite = False
-        if not finite:
-            raise InvalidParameterError(f"{self} has a last abscissa that overflows")
+            check_real(self.x_max, "x_max")
+        except (OverflowError, InvalidParameterError):  # OverflowError: a count beyond floats
+            raise InvalidParameterError(f"{self} has a last abscissa that overflows") from None
 
     @property
     def x_max(self) -> float:
@@ -95,9 +110,9 @@ class Grid:
 
     def index_of(self, x: float) -> int:
         """Index of the grid point nearest to ``x``; error if outside the grid."""
-        pos = (x - self.x_min) / self.step
-        # an infinite x, or a quotient that overflows, lies outside as well
-        i = int(round(pos)) if np.isfinite(pos) else -1
+        pos = (check_real(x, "x") - self.x_min) / self.step
+        # a quotient that overflows lies outside as well
+        i = int(round(pos)) if math.isfinite(pos) else -1
         if i < 0 or i >= self.count:
             raise InvalidParameterError(
                 f"x = {x} lies outside the grid [{self.x_min}, {self.x_max}]"

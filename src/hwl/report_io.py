@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +36,7 @@ import numpy as np
 from . import TOOL_VERSION
 from .analysis import BoundCertificate, DecayFit, MomentReport, SobolevEstimate
 from .errors import InvalidParameterError, ParseError, SchemaError
-from .numerics import GRID_TOLERANCE, Grid, SampledSignal
+from .numerics import GRID_TOLERANCE, Grid, SampledSignal, check_real
 
 __all__ = [
     "write_signal_csv",
@@ -176,7 +175,7 @@ def read_signal_csv(path) -> SampledSignal:
         if step <= 0:
             raise ParseError("abscissas are not increasing")
         try:
-            grid = Grid(float(x_arr[0]), float(step), len(x_arr))
+            grid = Grid(x_arr[0], step, len(x_arr))
         except InvalidParameterError as exc:
             raise ParseError(f"abscissa span overflows: {exc}") from None
         deviation = np.diff(x_arr)
@@ -307,14 +306,12 @@ class PanelSpec:
             if role not in _ROLE_STYLE:
                 raise InvalidParameterError(f"unknown style role {role!r}")
         if self.y_range is not None:
-            try:
-                lo, hi = self.y_range
-                ok = lo < hi and math.isfinite(hi - lo)
-            except (TypeError, ValueError):  # not a pair, or not numbers
-                ok = False
-            if not ok:
-                raise InvalidParameterError(
-                    f"y_range must be lo < hi with a finite hi - lo, got {self.y_range!r}")
+            try:  # a pair of numbers, with a finite positive width
+                lo, hi = (check_real(v, "y_range end") for v in self.y_range)
+                check_real(hi - lo, "y_range width", 0.0, strict=True)
+            except (TypeError, ValueError):  # InvalidParameterError is a ValueError
+                raise InvalidParameterError(f"y_range must be lo < hi with a finite hi - lo, "
+                                            f"got {self.y_range!r}") from None
 
 
 _PANEL_W, _PANEL_H = 340, 260

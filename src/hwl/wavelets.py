@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .numerics import Grid, SampledSignal, check_integer
+from .numerics import Grid, SampledSignal, check_integer, check_real
 
 __all__ = [
     "DEGREE_CAP",
@@ -60,15 +60,11 @@ class PiecewiseConstant:
     levels: tuple[float, ...]
 
     def __post_init__(self):
-        bp = tuple(float(b) for b in self.breakpoints)
-        lv = tuple(float(v) for v in self.levels)
+        bp = tuple(check_real(b, "breakpoint") for b in self.breakpoints)
+        lv = tuple(check_real(v, "level") for v in self.levels)
         if len(bp) != len(lv) + 1:
             raise InvalidParameterError(
                 f"need len(breakpoints) == len(levels)+1, got {len(bp)} and {len(lv)}"
-            )
-        if not all(math.isfinite(v) for v in bp + lv):
-            raise InvalidParameterError(
-                f"breakpoints and levels must be finite, got {bp} and {lv}"
             )
         if not all(a < b for a, b in zip(bp, bp[1:])):
             raise InvalidParameterError("breakpoints must be strictly increasing")
@@ -143,7 +139,7 @@ def make_haar_scaling() -> PiecewiseConstant:
 
 def make_box(a: float, b: float) -> PiecewiseConstant:
     """Unit-height box on [a, b)."""
-    return PiecewiseConstant(breakpoints=(float(a), float(b)), levels=(1.0,))
+    return PiecewiseConstant(breakpoints=(a, b), levels=(1.0,))
 
 
 def make_bspline_scaling(degree: int) -> WaveletSpec:
@@ -221,14 +217,9 @@ def make_modulated_window(window_kind: str, omega0: float,
     """
     if window_kind not in ("sinc2", "gauss"):
         raise InvalidParameterError(f"unknown window kind {window_kind!r}")
-    omega0 = float(omega0)
-    if not (omega0 >= 0.0 and np.isfinite(omega0)):
-        raise InvalidParameterError(f"omega0 must be finite and >= 0, got {omega0}")
+    omega0 = check_real(omega0, "omega0", 0.0)
     if window_kind == "gauss":
-        sigma = 1.0 if sigma is None else sigma
-        if not (sigma > 0 and math.isfinite(sigma)):
-            raise InvalidParameterError(f"sigma must be finite and positive, got {sigma}")
-        sigma = float(sigma)
+        sigma = check_real(1.0 if sigma is None else sigma, "sigma", 0.0, strict=True)
     elif sigma is not None:
         raise InvalidParameterError(f"sigma applies to the gauss window only, not {window_kind}")
     return WaveletSpec(

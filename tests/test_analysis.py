@@ -200,6 +200,30 @@ class TestCertificates:
         with pytest.raises(InvalidParameterError, match="integer"):
             analysis.theorem_certificate(phi, phi, 1.5)
 
+    @pytest.mark.parametrize("spec, lo, hi", [
+        (make_modulated_window("gauss", 0.0, sigma=4.0), -8.0, 8.0),
+        (make_box(-10.0, 10.0), -4.0, 4.0),
+    ], ids=["gauss-cut", "box-cut"])
+    def test_constant_that_shrinks_under_doubling_is_not_stable(self, spec, lo, hi):
+        # a grid that cuts psi short halves the constant (0.1735 -> 0.0872 and
+        # 0.4776 -> 0.0651); the one-sided test called both stable
+        psi = sample(spec, make_grid(lo, hi, 2.0 ** -6))
+        cert = analysis.theorem_certificate(psi, hilbert_spectral(psi), 0)
+        assert cert.empirical_constant_doubled < 0.6 * cert.empirical_constant
+        assert not cert.stable
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_spline_wavelets_stable_at_their_order(self, degree):
+        psi = sample(make_spline_wavelet(degree), make_grid(-64.0, 64.0, 2.0 ** -6))
+        cert = analysis.theorem_certificate(psi, hilbert_spectral(psi), degree)
+        assert cert.stable
+
+    def test_zero_psi_refused(self):
+        # its norms are all zero, and the constant was 0/0 = NaN with two warnings
+        z = SampledSignal(Grid(-4.0, 0.0625, 129), np.zeros(129))
+        with pytest.raises(InvalidParameterError, match="psi is zero"):
+            analysis.theorem_certificate(z, z, 2)
+
 
 def _weighted_reference(f, power):
     """x^power * f as one whole-grid expression: the reference for the
@@ -465,6 +489,14 @@ class TestSobolev:
         f = sample(make_haar_wavelet(), grid_16)
         with pytest.raises(InvalidParameterError):
             analysis.smoothness_profile(f, [])
+
+    @pytest.mark.parametrize("gamma_grid", ["12", 2.0, None], ids=repr)
+    def test_profile_gamma_grid_of_numbers(self, grid_16, gamma_grid):
+        # "12" gave the gammas (1.0, 2.0), and 2.0 raised a bare TypeError
+        f = sample(make_haar_wavelet(), grid_16)
+        with pytest.raises(InvalidParameterError, match="gamma"):
+            analysis.smoothness_profile(f, gamma_grid)
+        assert analysis.smoothness_profile(f, (np.int64(1), np.float32(0.5))).gammas == (1.0, 0.5)
 
     def test_profile_needs_three_samples(self):
         # the coarsened copy of two samples would be a one-sample grid

@@ -313,7 +313,7 @@ class TestAnalyze:
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("argv", [
-        # the certificate's constant is sup|Hpsi|(...) / norm_sum = 0/0
+        # the certificate divides by psi's norms, which are zero
         ["certificate", "--psi", "ZERO", "--hpsi", "ZERO", "--order", 2],
         # sigma ** 2 overflows a Python float
         ["bedrosian", "--window", "gauss", "--omega0", 0, "--grid", "-8:8:0.0625",
@@ -330,22 +330,26 @@ class TestAnalyze:
         assert not (tmp_path / "r.json").exists()
 
     # |x|^401 and, from order 256 on, |x|^k overflow at the ends of
-    # [-16, 16], though not on the wavelet's support; the zero signal's
-    # constant is 0/0
+    # [-16, 16], though not on the wavelet's support
     @pytest.mark.parametrize("argv, message", [
         (["certificate", "--psi", "SIGNAL", "--hpsi", "SIGNAL", "--order", 400],
          "overflow encountered in power"),
         (["moments", "--in", "SIGNAL", "--max-order", 400], "overflow encountered in power"),
-        (["certificate", "--psi", "ZERO", "--hpsi", "ZERO", "--order", 2],
-         "invalid value encountered in scalar divide"),
-    ], ids=["certificate-order-400", "moments-order-400", "certificate-zero"])
+    ], ids=["certificate-order-400", "moments-order-400"])
     def test_overflowing_power_names_the_operation(self, tmp_path, capsys, small_signal,
                                                    argv, message):
-        zero = tmp_path / "zero.csv"
-        write_signal_csv(SampledSignal(Grid(-4.0, 0.0625, 129), np.zeros(129)), zero)
-        argv = [{"SIGNAL": small_signal, "ZERO": zero}.get(a, a) for a in argv]
+        argv = [small_signal if a == "SIGNAL" else a for a in argv]
         err = assert_refused(capsys, ["analyze", *argv, "--json", tmp_path / "r.json"], 2)
         assert err == f"hwl: arithmetic out of range ({message}); check the inputs and options\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_certificate_of_zero_psi_is_refused(self, tmp_path, capsys):
+        # refused before the 0/0 that gave "invalid value encountered in scalar divide"
+        zero = tmp_path / "zero.csv"
+        write_signal_csv(SampledSignal(Grid(-4.0, 0.0625, 129), np.zeros(129)), zero)
+        err = assert_refused(capsys, ["analyze", "certificate", "--psi", zero, "--hpsi", zero,
+                                      "--order", 2, "--json", tmp_path / "r.json"], 2)
+        assert err == "hwl: psi is zero on the grid; the certificate divides by its norms\n"
         assert not (tmp_path / "r.json").exists()
 
     def test_negative_tolerance_is_usage_error(self, tmp_path, capsys, small_signal):

@@ -3,12 +3,16 @@ rather than at a user's import."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import hwl
+from hwl.report_io import PanelSpec
+
+from test_numerics import REAL_PARAMETERS
 
 MODULES = ["hwl"] + [f"hwl.{m.name}" for m in pkgutil.iter_modules(hwl.__path__)]
 
@@ -67,3 +71,22 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in imported.items()
               if name not in read and name not in exported}
     assert not unused, f"{path.name} imports names it never reads: {unused}"
+
+
+# Records the library fills in: the results of the analyses and the spec its
+# ``make_*`` factories build from parameters they have checked.
+RECORDS = {"WaveletSpec", "MomentReport", "DecayFit", "BoundCertificate", "SobolevEstimate"}
+
+
+def test_real_parameters_are_checked():
+    """Every parameter of the public API annotated with ``float`` has a row in
+    ``test_numerics.REAL_PARAMETERS``, whose test passes it a bool, a string
+    and non-finite values, so a new real parameter cannot skip the check."""
+    objects = [getattr(hwl, n) for n in hwl.__all__] + [PanelSpec]
+    annotated = {f"{obj.__name__}.{p.name}"
+                 for obj in objects if callable(obj) and obj.__name__ not in RECORDS
+                 for p in inspect.signature(obj, eval_str=True).parameters.values()
+                 if "float" in str(p.annotation)}
+    assert "smoothness_profile.gamma_grid" in annotated
+    missing = annotated - REAL_PARAMETERS.keys()
+    assert not missing, f"real parameters without a row in REAL_PARAMETERS: {sorted(missing)}"

@@ -1,17 +1,21 @@
 """Grid/signal containers, quadrature, differentiation, norms, DFT contract."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwl.errors import InvalidParameterError
+from hwl.analysis import fit_decay, moments, smoothness_profile, sobolev_norm, tail_limit
+from hwl.errors import FitWindowError, InvalidParameterError
 from hwl.numerics import (
     Grid,
     SampledSignal,
     Spectrum,
     _smooth_length,
     check_integer,
+    check_real,
     dft,
     derivative,
     integrate,
@@ -21,7 +25,11 @@ from hwl.numerics import (
     odd_kernel_sum,
     sup_norm,
 )
-from hwl.wavelets import make_box, make_bspline_scaling, make_haar_wavelet, sample
+from hwl.report_io import PanelSpec
+from hwl.wavelets import (
+    PiecewiseConstant, make_box, make_bspline_scaling, make_haar_wavelet, make_modulated_window,
+    make_spline_wavelet, sample,
+)
 
 from conftest import STEP, make_grid
 
@@ -68,6 +76,13 @@ class TestGrid:
         g = Grid(0.0, 1.0, 4)
         with pytest.raises(InvalidParameterError, match="outside the grid"):
             g.index_of(10.0)
+
+    def test_float32_origin_stored_as_float(self):
+        # a float32 x_min used to keep x_max in float32 (1.1 rounded to
+        # float32), away from the last abscissa that the grid check compares
+        g = Grid(np.float32(0.1), 0.001, 1001)
+        assert type(g.x_min) is float and type(g.step) is float
+        assert g.x_max == g.abscissas()[-1] == 1.1000000014901161
 
 
 def _odd_kernel_loop(values, kernel):
@@ -148,6 +163,85 @@ class TestCheckInteger:
         assert check_integer(-2, "k", -2) == -2
         with pytest.raises(InvalidParameterError, match="k must be >= 1"):
             check_integer(0.0, "k", 1)
+
+
+def _value_id(value):
+    return "object" if type(value) is object else repr(value)
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value, want", [
+        (3, 3.0), (np.int64(3), 3.0), (np.float32(0.1), 0.10000000149011612), (-2.5, -2.5),
+    ])
+    def test_reals_come_back_as_float(self, value, want):
+        got = check_real(value, "t")
+        assert got == want and type(got) is float
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "1", b"1", 1j, None,
+                                       np.array(1.0), object()], ids=_value_id)
+    def test_what_is_not_a_real_number_refused(self, value):
+        with pytest.raises(InvalidParameterError, match="^t must be a real number"):
+            check_real(value, "t")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float32("nan"),
+                                       10 ** 400, -10 ** 400])
+    def test_non_finite_refused(self, value):
+        with pytest.raises(InvalidParameterError, match="^t must be finite"):
+            check_real(value, "t")
+
+    def test_minimum_inclusive_unless_strict(self):
+        assert check_real(0, "t", 0.0) == 0.0
+        assert check_real(-0.0, "t", 0.0) == 0.0
+        with pytest.raises(InvalidParameterError, match="t must be finite and >= 0.0, got -1e-30"):
+            check_real(-1e-300, "t", 0.0)
+        assert check_real(5e-324, "t", 0.0, strict=True) == 5e-324
+        with pytest.raises(InvalidParameterError, match="t must be finite and > 0.0, got 0.0"):
+            check_real(0.0, "t", 0.0, strict=True)
+
+
+_SIGNAL = sample(make_spline_wavelet(1), Grid(-16.0, 0.0625, 513))
+_TAIL = SampledSignal(_SIGNAL.grid, 1.0 / (1.0 + _SIGNAL.x() ** 2))  # fits on [1, 8]
+
+# Every real-valued parameter of the library: the call that passes it a
+# value, the error a bad value raises and a pattern its message matches.
+# ``test_exports.py::test_real_parameters_are_checked`` checks that every
+# float-annotated parameter has a row.
+REAL_PARAMETERS = {
+    "Grid.x_min": (lambda v: Grid(v, 1.0, 3), InvalidParameterError, "x_min"),
+    "Grid.step": (lambda v: Grid(0.0, v, 3), InvalidParameterError, "step"),
+    "Grid.index_of.x": (lambda v: Grid(0.0, 1.0, 3).index_of(v), InvalidParameterError, "^x "),
+    "PiecewiseConstant.breakpoints": (lambda v: PiecewiseConstant((v, 10.0), (1.0,)),
+                                      InvalidParameterError, "breakpoint"),
+    "PiecewiseConstant.levels": (lambda v: PiecewiseConstant((0.0, 1.0), (v,)),
+                                 InvalidParameterError, "level"),
+    "make_box.a": (lambda v: make_box(v, 10.0), InvalidParameterError, "breakpoint"),
+    "make_box.b": (lambda v: make_box(-10.0, v), InvalidParameterError, "breakpoint"),
+    "make_modulated_window.omega0": (lambda v: make_modulated_window("gauss", v),
+                                     InvalidParameterError, "omega0"),
+    "make_modulated_window.sigma": (lambda v: make_modulated_window("gauss", 1.0, sigma=v),
+                                    InvalidParameterError, "sigma"),
+    "moments.tolerance": (lambda v: moments(_SIGNAL, 2, tolerance=v),
+                          InvalidParameterError, "tolerance"),
+    "fit_decay.window": (lambda v: fit_decay(_TAIL, (v, 8.0)), FitWindowError, "two numbers"),
+    "tail_limit.x_probe": (lambda v: tail_limit(_SIGNAL, _SIGNAL, v),
+                           InvalidParameterError, "^x "),
+    "sobolev_norm.gamma": (lambda v: sobolev_norm(_SIGNAL, v), InvalidParameterError, "gamma"),
+    "smoothness_profile.gamma_grid": (lambda v: smoothness_profile(_SIGNAL, [1.0, v]),
+                                      InvalidParameterError, "gamma"),
+    "PanelSpec.y_range": (lambda v: PanelSpec(((_SIGNAL, "original"),), y_range=(v, 1e3)),
+                          InvalidParameterError, "y_range"),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), "1", math.nan, math.inf, -math.inf,
+                                   object()], ids=_value_id)
+@pytest.mark.parametrize("parameter", sorted(REAL_PARAMETERS))
+def test_real_parameter_refused(parameter, value):
+    # a bool was read as 0 or 1, and a numeric string as its number, by
+    # ``float(...)`` in several of these
+    call, error, pattern = REAL_PARAMETERS[parameter]
+    with pytest.raises(error, match=pattern):
+        call(value)
 
 
 class TestSampledSignal:

@@ -75,6 +75,12 @@ class TestPiecewiseConstant:
         with pytest.raises(InvalidParameterError, match="finite"):
             make_box(a, b)
 
+    def test_box_breakpoints_are_floats(self):
+        # Python floats, at the values float(...) gives
+        box = make_box(np.float32(0.1), np.int64(1))
+        assert box.breakpoints == (0.10000000149011612, 1.0)
+        assert all(type(b) is float for b in box.breakpoints + box.levels)
+
     def test_support_is_first_and_last_breakpoint(self):
         assert make_haar_wavelet().support == (-1.0, 1.0)
         assert make_haar_scaling().support == (0.0, 1.0)
