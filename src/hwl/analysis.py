@@ -48,6 +48,11 @@ __all__ = [
 # rounding noise, not signal, and are excluded from decay fits.
 NOISE_FLOOR_FACTOR = 1e3 * np.finfo(float).eps
 
+# A grid cuts a signal short when an edge sample exceeds this fraction of its
+# sup: the certificate refuses such a psi, and the Bedrosian check such a
+# window envelope (whose sup is 1).
+_EDGE_FRACTION = 1e-4
+
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -276,11 +281,20 @@ def theorem_certificate(psi: SampledSignal, hpsi: SampledSignal, n: int) -> Boun
     inputs whose tail genuinely matches the asserted order keep the
     constant flat, while an undersized decay (a scaling function probed
     with n >= 1) blows it up roughly linearly.  ``psi`` and ``hpsi`` must
-    share a grid (:class:`GridMismatchError` otherwise), and an all-zero
-    ``psi`` is refused (:class:`InvalidParameterError`).
+    share a grid (:class:`GridMismatchError` otherwise).  A psi the grid
+    cuts short, with an edge sample above 1e-4 of its sup, is refused
+    (:class:`GridTooNarrowError`): zero-extending it would certify a
+    constant for a signal that was never sampled.  So is an all-zero
+    ``psi`` (:class:`InvalidParameterError`).
     """
     n = check_integer(n, "n", 0)
     _require_same_grid(psi, hpsi, "psi and hpsi")
+    edge = max(abs(psi.values[0]), abs(psi.values[-1]))
+    if edge > _EDGE_FRACTION * np.max(np.abs(psi.values)):
+        raise GridTooNarrowError(
+            f"psi is {edge:.2e} at the grid edge, more than {_EDGE_FRACTION:g} of its sup; "
+            "widen the grid so the certificate sees all of psi"
+        )
     bundle = _norm_bundle(psi, n)
     norm_sum = float(sum(bundle.values()))
     if norm_sum == 0.0:
@@ -387,7 +401,7 @@ def bedrosian_residual(window: WaveletSpec, grid: Grid) -> float:
     # the unmodulated window: cos(0*x) is exactly 1
     w = evaluate(replace(window, omega0=0.0), x)
     envelope_edge = max(w[0], w[-1])
-    if envelope_edge >= 1e-4:
+    if envelope_edge >= _EDGE_FRACTION:
         raise GridTooNarrowError(
             f"window envelope is {envelope_edge:.2e} at the grid edge; "
             "widen the grid so truncation cannot masquerade as a residual"
@@ -422,6 +436,8 @@ def partition_deviation(spec: WaveletSpec | PiecewiseConstant, k_range: int,
             f"with {len(spec.levels)} levels"
         )
     k_range = check_integer(k_range, "k_range", 0)
+    if not isinstance(transformed, (bool, np.bool_)):
+        raise InvalidParameterError(f"transformed must be a bool, got {transformed!r}")
     x = grid.abscissas()
     total = np.zeros(grid.count)
     if not transformed:

@@ -6,7 +6,11 @@ CSV and the JSON report schema are the package's stable external contracts:
   digit decimal floats (lossless for binary64), uniform abscissa spacing
   validated to 1e-9 relative on read.  The file is ASCII: the reader reads
   its bytes once, refuses any non-ASCII byte, and parses those same bytes
-  on every path, so no result depends on the locale;
+  on every path, so no result depends on the locale.  The writer also
+  saves the rows it formatted in a binary sidecar ``OUT.rows``, keyed by
+  the SHA-256 of the CSV bytes; a read whose CSV bytes match that digest
+  loads the rows from it instead of parsing, with the same result, since
+  ``%.17g`` text parses back to the same bits;
 * report JSON: one strict-JSON object per report (no ``NaN`` or
   ``Infinity``), serialized with sorted keys so identical inputs give
   identical bytes.  Every report carries the envelope ``kind``,
@@ -19,14 +23,17 @@ CSV and the JSON report schema are the package's stable external contracts:
   file is UTF-8 (RFC 8259), and the writer's output is ASCII.
 
 Figures are emitted as standalone UTF-8 SVG with hand-built paths and axes;
-no plotting dependency.  Every file this module opens names its encoding.
+no plotting dependency.  Every text file this module opens names its encoding.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import hashlib
 import io
 import json
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,6 +62,8 @@ _HEADER_LINE = (CSV_HEADER + "\n").encode()
 _WRITE_BLOCK = 1 << 11
 _ROW_START = re.compile(rb"[^\r\n]")  # the first byte of a row after the header
 _NON_ASCII = re.compile(rb"[\x80-\xff]")
+# the first line of a signal CSV's ``.rows`` sidecar (_write_rows_sidecar)
+_ROWS_MAGIC = b"hwl-rows-1\n"
 
 _REPORT_KINDS = {
     "moment_report": MomentReport,
@@ -88,13 +97,39 @@ def _format_pairs(row: str, a: np.ndarray, b: np.ndarray) -> str:
 
 def write_signal_csv(f: SampledSignal, path) -> None:
     """Write ``x,value`` rows at full binary64 round-trip precision,
-    formatted and written :data:`_WRITE_BLOCK` rows at a time."""
+    formatted and written :data:`_WRITE_BLOCK` rows at a time, and then
+    the ``.rows`` sidecar of those bytes (:func:`_write_rows_sidecar`)."""
     x, values = f.x(), f.values
-    with open(path, "w", encoding="ascii") as out:
-        out.write(CSV_HEADER + "\n")
+    digest = hashlib.sha256(_HEADER_LINE)
+    with open(path, "wb") as out:
+        out.write(_HEADER_LINE)
         for i in range(0, values.shape[0], _WRITE_BLOCK):
             j = i + _WRITE_BLOCK
-            out.write(_format_pairs("%.17g,%.17g\n", x[i:j], values[i:j]))
+            block = _format_pairs("%.17g,%.17g\n", x[i:j], values[i:j]).encode("ascii")
+            digest.update(block)
+            out.write(block)
+    _write_rows_sidecar(path, digest.digest(), x, values)
+
+
+def _write_rows_sidecar(path, digest: bytes, x: np.ndarray, values: np.ndarray) -> None:
+    """Save the rows a signal CSV holds beside it, as ``path.rows``: the
+    magic line, ``digest`` (the SHA-256 of the CSV's bytes) and the
+    ``(count, 2)`` little-endian float64 array of (x, value), written
+    :data:`_WRITE_BLOCK` rows at a time to a temporary file that then
+    replaces the sidecar.  The sidecar only saves later reads a parse, so an
+    ``OSError`` here leaves the CSV as written and no temporary file."""
+    tmp = Path(f"{path}.rows.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as out:
+            out.write(_ROWS_MAGIC + digest)
+            for i in range(0, values.shape[0], _WRITE_BLOCK):
+                j = i + _WRITE_BLOCK
+                rows = np.column_stack((x[i:j], values[i:j]))
+                out.write(rows.astype("<f8", copy=False).tobytes())
+        os.replace(tmp, f"{path}.rows")
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 def _parse_rows(body: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -163,11 +198,38 @@ def _parse_signal(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     return _parse_rows_fast(data) or _read_rows(data.decode("ascii"))
 
 
+def _signal_rows(path) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissas and values of the signal CSV at ``path``: loaded from its
+    ``.rows`` sidecar when that carries the SHA-256 of the CSV bytes just
+    read, one (x, value) pair per data row, all finite; parsed from those
+    bytes otherwise.  Without a sidecar nothing is hashed."""
+    data = Path(path).read_bytes()
+    try:
+        side = open(f"{path}.rows", "rb")
+    except OSError:  # none, a directory, unreadable
+        return _parse_signal(data)
+    with side:
+        header = side.read(len(_ROWS_MAGIC) + 32)
+        payload = os.fstat(side.fileno()).st_size - side.tell()
+        # the writer ends each line with \n: two floats per data row
+        if (header == _ROWS_MAGIC + hashlib.sha256(data).digest()
+                and payload == 16 * (data.count(b"\n") - 1)):
+            del data  # so the CSV bytes and the rows are never held together
+            count = payload // 8
+            rows = np.fromfile(side, dtype="<f8", count=count)
+            if rows.size == count and np.isfinite(rows).all():
+                rows = rows.reshape(-1, 2)
+                return rows[:, 0], rows[:, 1]
+            data = Path(path).read_bytes()  # a payload edited under its digest
+    return _parse_signal(data)
+
+
 def read_signal_csv(path) -> SampledSignal:
-    """Parse a signal CSV; malformed content raises ParseError with the row."""
-    # only _parse_signal holds the bytes, so they are freed before the
+    """Read a signal CSV, from its ``.rows`` sidecar when that matches the
+    CSV's bytes; malformed content raises ParseError with the row."""
+    # only _signal_rows holds the bytes, so they are freed before the
     # spacing check allocates
-    x_arr, vs = _parse_signal(Path(path).read_bytes())
+    x_arr, vs = _signal_rows(path)
     # finite abscissas may span past the float range, which the grid
     # refuses, or step past it, which reads as an infinite deviation
     with np.errstate(over="ignore"):

@@ -205,12 +205,32 @@ class TestCertificates:
         (make_box(-10.0, 10.0), -4.0, 4.0),
     ], ids=["gauss-cut", "box-cut"])
     def test_constant_that_shrinks_under_doubling_is_not_stable(self, spec, lo, hi):
-        # a grid that cuts psi short halves the constant (0.1735 -> 0.0872 and
-        # 0.4776 -> 0.0651); the one-sided test called both stable
+        # a grid that cuts psi short (edge samples 0.135 and 1) halved the
+        # constant under doubling (0.1735 -> 0.0872 and 0.4776 -> 0.0651),
+        # which a one-sided test called stable; such a psi gets no constant
         psi = sample(spec, make_grid(lo, hi, 2.0 ** -6))
-        cert = analysis.theorem_certificate(psi, hilbert_spectral(psi), 0)
-        assert cert.empirical_constant_doubled < 0.6 * cert.empirical_constant
-        assert not cert.stable
+        with pytest.raises(GridTooNarrowError, match="at the grid edge"):
+            analysis.theorem_certificate(psi, hilbert_spectral(psi), 0)
+
+    @pytest.mark.parametrize("half_width", [64.0, 128.0])
+    @pytest.mark.parametrize("degree", range(6))
+    def test_spline_wavelets_are_certified_on_any_grid_that_holds_them(self, degree,
+                                                                      half_width):
+        # exactly 0 at the grid's edges, so the edge check passes
+        psi = sample(make_spline_wavelet(degree), make_grid(-half_width, half_width, 2.0 ** -6))
+        cert = analysis.theorem_certificate(psi, hilbert_spectral(psi), degree)
+        assert cert.stable
+
+    def test_edge_at_the_threshold_is_certified(self):
+        # 1e-4 of the sup at an edge is the most the certificate accepts
+        psi = sample(make_spline_wavelet(3), make_grid(-16.0, 16.0, 2.0 ** -6))
+        peak = float(np.max(np.abs(psi.values)))
+        edged = psi.values.copy()
+        edged[0] = edged[-1] = 1e-4 * peak
+        analysis.theorem_certificate(SampledSignal(psi.grid, edged), psi, 4)
+        edged[-1] = 1.01e-4 * peak
+        with pytest.raises(GridTooNarrowError):
+            analysis.theorem_certificate(SampledSignal(psi.grid, edged), psi, 4)
 
     @pytest.mark.parametrize("degree", range(6))
     def test_spline_wavelets_stable_at_their_order(self, degree):
@@ -589,6 +609,19 @@ class TestPartition:
     def test_step_wavelet_rejected(self, grid_16, transformed):
         with pytest.raises(InvalidParameterError, match="2 levels"):
             analysis.partition_deviation(make_haar_wavelet(), 10, transformed, grid_16)
+
+    # any truthy value ran the transformed sum, and "no" gave True's bits
+    @pytest.mark.parametrize("transformed", ["no", 1, None])
+    def test_transformed_must_be_a_bool(self, grid_16, transformed):
+        with pytest.raises(InvalidParameterError, match="transformed must be a bool, got"):
+            analysis.partition_deviation(make_bspline_scaling(3), 4, transformed, grid_16)
+
+    @pytest.mark.parametrize("flag", [np.True_, np.False_])
+    def test_numpy_bool_is_a_bool(self, grid_16, flag):
+        spec = make_bspline_scaling(3)
+        got = analysis.partition_deviation(spec, 4, flag, grid_16)
+        want = analysis.partition_deviation(spec, 4, bool(flag), grid_16)
+        assert got.values.tobytes() == want.values.tobytes()
 
     @pytest.mark.parametrize("k_range", [2.5, -1])
     def test_bad_k_range_refused(self, grid_16, k_range):

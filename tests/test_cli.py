@@ -95,6 +95,40 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestSidecars:
+    """Each CSV writer leaves ``OUT`` and its ``OUT.rows`` sidecar (and a
+    hilbert run its ``OUT.meta.json``), and nothing else."""
+
+    @pytest.mark.parametrize("argv, files", [
+        (["gen", "--wavelet", "spline-wavelet,2", "--grid", "-4:4:0.0625", "--out", "OUT"],
+         ["o.csv", "o.csv.rows"]),
+        (["hilbert", "--method", "pv", "--in", "SIGNAL", "--out", "OUT"],
+         ["o.csv", "o.csv.meta.json", "o.csv.rows"]),
+        (["hilbert", "--method", "spectral", "--in", "SIGNAL", "--out", "OUT"],
+         ["o.csv", "o.csv.meta.json", "o.csv.rows"]),
+        (["analyze", "partition", "--wavelet", "bspline-scaling,1", "--k", 4,
+          "--grid", "-8:8:0.0625", "--out-csv", "OUT", "--json", "JSON"],
+         ["o.csv", "o.csv.rows", "p.json"]),
+    ], ids=["gen", "hilbert-pv", "hilbert-spectral", "partition"])
+    def test_writers_leave_the_csv_and_its_sidecars(self, tmp_path, small_signal, argv, files):
+        names = {"OUT": tmp_path / "o.csv", "JSON": tmp_path / "p.json", "SIGNAL": small_signal}
+        assert run([names.get(a, a) for a in argv]) == 0
+        assert sorted(f.name for f in tmp_path.iterdir()) == files
+        assert read_signal_csv(tmp_path / "o.csv").grid.count > 2
+
+    def test_unwritable_sidecar_still_writes_the_csv(self, tmp_path):
+        plain, blocked = tmp_path / "plain.csv", tmp_path / "blocked.csv"
+        (tmp_path / "blocked.csv.rows").mkdir()
+        for out in (plain, blocked):
+            assert run(["gen", "--wavelet", "spline-wavelet,2", "--grid", "-4:4:0.0625",
+                        "--out", out]) == 0
+        assert blocked.read_bytes() == plain.read_bytes()
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "blocked.csv", "blocked.csv.rows", "plain.csv", "plain.csv.rows"]
+        assert run(["hilbert", "--method", "pv", "--in", blocked,
+                    "--out", tmp_path / "h.csv"]) == 0
+
+
 class TestHilbert:
     def test_pv_pipeline_probe(self, tmp_path):
         psi = tmp_path / "psi.csv"
@@ -350,6 +384,17 @@ class TestAnalyze:
         err = assert_refused(capsys, ["analyze", "certificate", "--psi", zero, "--hpsi", zero,
                                       "--order", 2, "--json", tmp_path / "r.json"], 2)
         assert err == "hwl: psi is zero on the grid; the certificate divides by its norms\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_certificate_of_a_psi_the_grid_cuts_is_refused(self, tmp_path, capsys):
+        # a Gaussian of width 4 is 0.135 of its peak at +-8
+        psi, hpsi = tmp_path / "g.csv", tmp_path / "hg.csv"
+        run(["gen", "--wavelet", "gauss-cos,4,0", "--grid", "-8:8:0.015625", "--out", psi])
+        run(["hilbert", "--method", "spectral", "--in", psi, "--out", hpsi])
+        capsys.readouterr()
+        err = assert_refused(capsys, ["analyze", "certificate", "--psi", psi, "--hpsi", hpsi,
+                                      "--order", 0, "--json", tmp_path / "r.json"], 2)
+        assert err.startswith("hwl: psi is 1.35e-01 at the grid edge, more than 0.0001 of its sup")
         assert not (tmp_path / "r.json").exists()
 
     def test_negative_tolerance_is_usage_error(self, tmp_path, capsys, small_signal):

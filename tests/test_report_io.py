@@ -1,5 +1,6 @@
 """CSV round trips, JSON report schema, SVG figure rendering."""
 
+import hashlib
 import json
 import math
 import os
@@ -45,11 +46,23 @@ def awkward_signal():
     return SampledSignal(g, v)
 
 
+def _without_sidecar(path: Path) -> Path:
+    """``path`` with its ``.rows`` sidecar removed, so reads parse it."""
+    Path(f"{path}.rows").unlink()
+    return path
+
+
+# each round trip runs through the sidecar and through the parse
+SIDECAR = pytest.mark.parametrize("keep", [lambda p: p, _without_sidecar],
+                                  ids=["sidecar-kept", "sidecar-removed"])
+
+
 class TestSignalCsv:
-    def test_round_trip_bit_identical(self, tmp_path, awkward_signal):
+    @SIDECAR
+    def test_round_trip_bit_identical(self, tmp_path, awkward_signal, keep):
         p = tmp_path / "sig.csv"
         write_signal_csv(awkward_signal, p)
-        back = read_signal_csv(p)
+        back = read_signal_csv(keep(p))
         np.testing.assert_array_equal(back.values, awkward_signal.values)
         assert back.grid.count == awkward_signal.grid.count
         assert back.grid.x_min == awkward_signal.grid.x_min
@@ -162,14 +175,111 @@ class TestSignalCsv:
         # reader's 1e-9-relative spacing validation cannot trip on ulps
         step=st.floats(1e-3, 1e3),
     )
-    def test_round_trip_is_identity(self, values, x_min, step):
+    @SIDECAR
+    def test_round_trip_is_identity(self, values, x_min, step, keep):
         import tempfile
 
         sig = SampledSignal(Grid(x_min, step, len(values)), values)
         with tempfile.TemporaryDirectory() as d:
             p = Path(d) / "prop.csv"
             write_signal_csv(sig, p)
-            np.testing.assert_array_equal(read_signal_csv(p).values, sig.values)
+            np.testing.assert_array_equal(read_signal_csv(keep(p)).values, sig.values)
+
+
+def _outcome(path):
+    """What reading ``path`` gives: the grid and the values' bytes, or the
+    error's type, row and message."""
+    try:
+        f = read_signal_csv(path)
+    except Exception as exc:  # noqa: BLE001 -- compared, not handled
+        return type(exc), getattr(exc, "row", None), str(exc)
+    return repr(f.grid), f.values.tobytes()
+
+
+def _parsed_outcome(path, tmp_dir):
+    """:func:`_outcome` of a copy of ``path``'s bytes that has no sidecar."""
+    copy = tmp_dir / "parsed-copy.csv"
+    copy.write_bytes(path.read_bytes())
+    return _outcome(copy)
+
+
+class TestRowsSidecar:
+    """The ``.rows`` sidecar the writer leaves beside each signal CSV: a read
+    loads it only when it matches the CSV's bytes, and gives the parse's
+    answer either way."""
+
+    def test_layout(self, tmp_path, awkward_signal):
+        p = tmp_path / "sig.csv"
+        write_signal_csv(awkward_signal, p)
+        rows = np.column_stack((awkward_signal.x(), awkward_signal.values)).astype("<f8")
+        assert Path(f"{p}.rows").read_bytes() == (
+            b"hwl-rows-1\n" + hashlib.sha256(p.read_bytes()).digest() + rows.tobytes())
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["sig.csv", "sig.csv.rows"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=hnp.arrays(np.float64, st.integers(2, 40), elements=st.one_of(
+            st.sampled_from(TestSignalCsv.AWKWARD_VALUES), st.floats(allow_nan=False,
+                                                                     allow_infinity=False))),
+        x_min=st.floats(-1e6, 1e6),
+        step=st.floats(1e-6, 1e6),
+    )
+    def test_sidecar_gives_the_parse_answer(self, tmp_path_factory, values, x_min, step):
+        # the same grid and value bits, or the same refusal (a grid whose
+        # spacing the abscissas' rounding bends is non-uniform either way)
+        p = tmp_path_factory.getbasetemp() / "sidecar_property.csv"
+        write_signal_csv(SampledSignal(Grid(x_min, step, len(values)), values), p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(report_io, "_parse_signal", lambda data: pytest.fail("parsed"))
+            cached = _outcome(p)
+        assert cached == _outcome(_without_sidecar(p))
+
+    @staticmethod
+    def _edit_csv(p, old, new):
+        data = p.read_bytes()
+        assert data.count(old) == 1
+        p.write_bytes(data.replace(old, new))
+
+    @staticmethod
+    def _sidecar_of_another_file(p, side):
+        # a sidecar that matches its own CSV, whose rows have the same shape
+        other = p.with_name("other.csv")
+        write_signal_csv(SampledSignal(Grid(-1.0, 0.5, 5), [4.0, 3.0, 2.0, 1.0, 0.0]), other)
+        os.replace(f"{other}.rows", side)
+
+    # each leaves a sidecar that does not match its CSV, or none
+    DAMAGE = {
+        "deleted": lambda p, side: side.unlink(),
+        "truncated-1-byte": lambda p, side: side.write_bytes(side.read_bytes()[:-1]),
+        "truncated-1-row": lambda p, side: side.write_bytes(side.read_bytes()[:-16]),
+        "extended-1-byte": lambda p, side: side.write_bytes(side.read_bytes() + bytes(1)),
+        "extended-1-row": lambda p, side: side.write_bytes(side.read_bytes() + bytes(16)),
+        "wrong-magic": lambda p, side: side.write_bytes(
+            b"hwl-rows-2\n" + side.read_bytes()[len(b"hwl-rows-1\n"):]),
+        "directory": lambda p, side: (side.unlink(), side.mkdir()),
+        "another-files-digest": lambda p, side: TestRowsSidecar._sidecar_of_another_file(p, side),
+        # the digest still matches its CSV, but the last value reads NaN
+        "nan-payload": lambda p, side: side.write_bytes(
+            side.read_bytes()[:-8] + np.array(np.nan, "<f8").tobytes()),
+        "csv-value-edited": lambda p, side: TestRowsSidecar._edit_csv(
+            p, b",0.20000000000000001\n", b",0.20000000000000004\n"),
+        "csv-nan": lambda p, side: TestRowsSidecar._edit_csv(
+            p, b",0.20000000000000001\n", b",nan\n"),
+    }
+
+    @pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE.keys())
+    def test_a_sidecar_that_does_not_match_falls_back_to_the_parse(self, tmp_path,
+                                                                   monkeypatch, damage):
+        p = tmp_path / "sig.csv"
+        write_signal_csv(SampledSignal(Grid(-1.0, 0.5, 5), [0.0, 0.1, 0.2, -0.3, 5e-324]), p)
+        damage(p, Path(f"{p}.rows"))
+        want = _parsed_outcome(p, tmp_path)
+        parses = []
+        parse = report_io._parse_signal
+        monkeypatch.setattr(report_io, "_parse_signal", lambda data: parses.append(data)
+                            or parse(data))
+        assert _outcome(p) == want
+        assert parses == [p.read_bytes()]
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,9 +402,17 @@ class TestSignalCsvMemory:
     def test_writer_holds_a_block(self, tmp_path, transform):
         assert traced_peak_mib(lambda: write_signal_csv(transform, tmp_path / "h.csv")) < 8.0
 
+    # through the sidecar, which the reader loads once the CSV bytes are freed
     def test_reader_holds_the_bytes_once(self, tmp_path, transform):
         p = tmp_path / "h.csv"
         write_signal_csv(transform, p)
+        assert Path(f"{p}.rows").is_file()
+        assert traced_peak_mib(lambda: read_signal_csv(p)) < 16.0
+
+    def test_parse_holds_the_bytes_once(self, tmp_path, transform):
+        p = tmp_path / "h.csv"
+        write_signal_csv(transform, p)
+        _without_sidecar(p)
         assert traced_peak_mib(lambda: read_signal_csv(p)) < 16.0
 
 
