@@ -401,7 +401,7 @@ def bedrosian_residual(window: WaveletSpec, grid: Grid) -> float:
     # the unmodulated window: cos(0*x) is exactly 1
     w = evaluate(replace(window, omega0=0.0), x)
     envelope_edge = max(w[0], w[-1])
-    if envelope_edge >= _EDGE_FRACTION:
+    if envelope_edge > _EDGE_FRACTION:
         raise GridTooNarrowError(
             f"window envelope is {envelope_edge:.2e} at the grid edge; "
             "widen the grid so truncation cannot masquerade as a residual"

@@ -6,7 +6,10 @@ CSV and the JSON report schema are the package's stable external contracts:
   digit decimal floats (lossless for binary64), uniform abscissa spacing
   validated to 1e-9 relative on read.  The file is ASCII: the reader reads
   its bytes once, refuses any non-ASCII byte, and parses those same bytes
-  on every path, so no result depends on the locale.  The writer also
+  on every path, so no result depends on the locale.  The writer formats a
+  large file in one process per usable CPU (:func:`write_signal_csv`), with
+  no option for it; the bytes are those of a one-shot write, and a range
+  whose worker fails is formatted by the writer itself.  The writer also
   saves the rows it formatted in a binary sidecar ``OUT.rows``, keyed by
   the SHA-256 of the CSV bytes; a read whose CSV bytes match that digest
   loads the rows from it instead of parsing, with the same result, since
@@ -35,6 +38,7 @@ import io
 import json
 import os
 import re
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,6 +64,13 @@ _HEADER_LINE = (CSV_HEADER + "\n").encode()
 # tuple and text stay under 100 KiB, and blocks of 2^14 rows formatted no
 # faster yet left a repeated CLI chain's peak RSS about 1 MiB higher
 _WRITE_BLOCK = 1 << 11
+# a signal CSV is formatted in one process per this many rows, up to one per
+# usable CPU: forking, exiting and reaping a child cost a few ms, and on two
+# otherwise idle cores two processes wrote 2^14+1 rows in 14 ms, one in 17 ms
+_PROCESS_ROWS = 4 * _WRITE_BLOCK
+# a child's rows are copied into the CSV this many bytes at a time, so the
+# writer holds no more of them at once
+_COPY_CHUNK = 1 << 20
 _ROW_START = re.compile(rb"[^\r\n]")  # the first byte of a row after the header
 _NON_ASCII = re.compile(rb"[\x80-\xff]")
 # the first line of a signal CSV's ``.rows`` sidecar (_write_rows_sidecar)
@@ -95,19 +106,105 @@ def _format_pairs(row: str, a: np.ndarray, b: np.ndarray) -> str:
     return (row * len(a)) % tuple(np.column_stack((a, b)).ravel().tolist())
 
 
+def _row_ranges(count: int) -> list[int]:
+    """Bounds of the contiguous row ranges a signal CSV of ``count`` rows is
+    formatted in, one per process: as many as the CPUs this process may run
+    on, but no more than give each :data:`_PROCESS_ROWS` rows, and each
+    starting on a :data:`_WRITE_BLOCK` boundary; ``[0, count]`` for one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = 1
+    k = max(1, min(cpus, count // _PROCESS_ROWS))
+    blocks = -(-count // _WRITE_BLOCK)
+    return [min(count, blocks * p // k * _WRITE_BLOCK) for p in range(k + 1)]
+
+
+def _row_blocks(x: np.ndarray, values: np.ndarray, start: int, stop: int):
+    """The ASCII bytes of rows ``start:stop``, :data:`_WRITE_BLOCK` rows at a time."""
+    for i in range(start, stop, _WRITE_BLOCK):
+        j = min(i + _WRITE_BLOCK, stop)
+        yield _format_pairs("%.17g,%.17g\n", x[i:j], values[i:j]).encode("ascii")
+
+
+def _fork_worker(stack: contextlib.ExitStack, directory, x: np.ndarray, values: np.ndarray,
+                 start: int, stop: int):
+    """``(file, pid)`` of a child that writes rows ``start:stop`` to ``file``,
+    an unnamed temporary file in ``directory`` that ``stack`` closes, and
+    exits 0 once they are all written, or non-zero; None when no file or no
+    child could be made.  The child never returns into the caller."""
+    try:
+        part = stack.enter_context(tempfile.TemporaryFile(dir=directory))
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            for block in _row_blocks(x, values, start, stop):
+                part.write(block)
+            part.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    return part, pid
+
+
+def _exited_cleanly(pid: int) -> bool:
+    """Wait for the child ``pid``: True if it exited with status 0."""
+    try:
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    except ChildProcessError:  # reaped elsewhere, as with SIGCHLD ignored
+        return False
+
+
+def _chunks(part):
+    """The bytes of the file ``part`` from its start, at most 1 MiB at a time."""
+    part.seek(0)
+    return iter(lambda: part.read(_COPY_CHUNK), b"")
+
+
+def _reap(workers: dict, start: int, rows: int):
+    """Wait for the child that formats the range at ``start`` and forget it:
+    its file if the child exited 0 and left exactly ``rows`` lines, else None."""
+    part, pid = workers[start]
+    exited = _exited_cleanly(pid)
+    del workers[start]
+    if exited and sum(chunk.count(b"\n") for chunk in _chunks(part)) == rows:
+        return part
+    return None
+
+
 def write_signal_csv(f: SampledSignal, path) -> None:
-    """Write ``x,value`` rows at full binary64 round-trip precision,
-    formatted and written :data:`_WRITE_BLOCK` rows at a time, and then
-    the ``.rows`` sidecar of those bytes (:func:`_write_rows_sidecar`)."""
+    """Write ``x,value`` rows at full binary64 round-trip precision, and then
+    the ``.rows`` sidecar of those bytes (:func:`_write_rows_sidecar`).
+
+    Rows are formatted :data:`_WRITE_BLOCK` at a time, in one contiguous
+    range per usable CPU (:func:`_row_ranges`).  This process formats the
+    first range; a forked child formats each other range into an unnamed
+    temporary file beside ``path``, copied in afterwards in file order.  A
+    range whose child could not be forked, did not exit 0, or left other
+    than one line per row is formatted here instead, so the bytes are those
+    of a one-shot write whatever the children do.  Every child is reaped
+    before this returns or raises.
+    """
     x, values = f.x(), f.values
+    bounds = _row_ranges(values.shape[0])
     digest = hashlib.sha256(_HEADER_LINE)
-    with open(path, "wb") as out:
+    workers = {}  # (file, pid) of each range's child, by the range's start, until reaped
+    with open(path, "wb") as out, contextlib.ExitStack() as stack:
+        # however the write ends, wait for every child not yet reaped
+        stack.callback(lambda: [_exited_cleanly(pid) for _, pid in workers.values()])
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            worker = _fork_worker(stack, Path(path).parent, x, values, start, stop)
+            if worker is not None:
+                workers[start] = worker
         out.write(_HEADER_LINE)
-        for i in range(0, values.shape[0], _WRITE_BLOCK):
-            j = i + _WRITE_BLOCK
-            block = _format_pairs("%.17g,%.17g\n", x[i:j], values[i:j]).encode("ascii")
-            digest.update(block)
-            out.write(block)
+        for start, stop in zip(bounds, bounds[1:]):
+            part = _reap(workers, start, stop - start) if start in workers else None
+            for block in _row_blocks(x, values, start, stop) if part is None else _chunks(part):
+                digest.update(block)
+                out.write(block)
     _write_rows_sidecar(path, digest.digest(), x, values)
 
 

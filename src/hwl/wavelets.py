@@ -85,6 +85,11 @@ class WaveletSpec:
     ``modulated_window``; the other fields are populated as the kind
     requires.  ``support`` is None for the (unbounded) modulated windows.
     Step functions (Haar, boxes) are :class:`PiecewiseConstant` instead.
+
+    An unknown ``kind`` is refused, and so is a modulated window unless its
+    ``window_kind`` is ``sinc2`` or ``gauss``, its ``omega0`` is finite and
+    >= 0, and its ``sigma`` is finite and > 0 for ``gauss`` and None for
+    ``sinc2``.
     """
 
     kind: str
@@ -95,6 +100,20 @@ class WaveletSpec:
     sigma: float | None = None
     coefficients: tuple[float, ...] | None = field(default=None, repr=False)
     amplitude: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("bspline_scaling", "spline_wavelet", "modulated_window"):
+            raise InvalidParameterError(f"unknown generator kind {self.kind!r}")
+        if self.kind != "modulated_window":
+            return
+        if self.window_kind not in ("sinc2", "gauss"):
+            raise InvalidParameterError(f"unknown window kind {self.window_kind!r}")
+        object.__setattr__(self, "omega0", check_real(self.omega0, "omega0", 0.0))
+        if self.window_kind == "gauss":
+            object.__setattr__(self, "sigma", check_real(self.sigma, "sigma", 0.0, strict=True))
+        elif self.sigma is not None:
+            raise InvalidParameterError(
+                f"sigma applies to the gauss window only, not {self.window_kind}")
 
 
 def cardinal_bspline(order: int, t) -> np.ndarray:
@@ -214,14 +233,10 @@ def make_modulated_window(window_kind: str, omega0: float,
     ``sinc2`` is w(x) = (sin x / x)^2 with w(0) = 1, bandlimited to (-2, 2),
     and takes no ``sigma`` (its spec carries None);
     ``gauss`` is w(x) = exp(-x^2 / (2 sigma^2)), with sigma 1.0 when not given.
+    :class:`WaveletSpec` checks the parameters.
     """
-    if window_kind not in ("sinc2", "gauss"):
-        raise InvalidParameterError(f"unknown window kind {window_kind!r}")
-    omega0 = check_real(omega0, "omega0", 0.0)
-    if window_kind == "gauss":
-        sigma = check_real(1.0 if sigma is None else sigma, "sigma", 0.0, strict=True)
-    elif sigma is not None:
-        raise InvalidParameterError(f"sigma applies to the gauss window only, not {window_kind}")
+    if window_kind == "gauss" and sigma is None:
+        sigma = 1.0
     return WaveletSpec(
         kind="modulated_window",
         support=None,
@@ -245,15 +260,14 @@ def _formula(spec: WaveletSpec | PiecewiseConstant, x: np.ndarray) -> np.ndarray
         for k, qk in enumerate(spec.coefficients):
             out += qk * cardinal_bspline(m, xs - k)
         return spec.amplitude * out
-    if spec.kind == "modulated_window":
-        if spec.window_kind == "sinc2":
-            w = np.ones_like(x)
-            nz = x != 0.0
-            w[nz] = (np.sin(x[nz]) / x[nz]) ** 2
-        else:
-            w = np.exp(-(x * x) / (2.0 * spec.sigma ** 2))
-        return w * np.cos(spec.omega0 * x)
-    raise InvalidParameterError(f"cannot evaluate spec of kind {spec.kind!r}")
+    # a modulated window, the one kind left (WaveletSpec refuses any other)
+    if spec.window_kind == "sinc2":
+        w = np.ones_like(x)
+        nz = x != 0.0
+        w[nz] = (np.sin(x[nz]) / x[nz]) ** 2
+    else:
+        w = np.exp(-(x * x) / (2.0 * spec.sigma ** 2))
+    return w * np.cos(spec.omega0 * x)
 
 
 def evaluate(spec: WaveletSpec | PiecewiseConstant, x) -> np.ndarray:

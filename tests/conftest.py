@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,18 @@ def grid_32():
 @pytest.fixture(scope="session")
 def grid_64():
     return make_grid(-64.0, 64.0)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped: a running child or
+    an unreaped zombie would outlive the command that made it."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process unreaped (pid {pid or 'still running'})")
 
 
 def rng(seed: int = 0) -> np.random.Generator:

@@ -558,6 +558,19 @@ class TestBedrosian:
         window = make_modulated_window("gauss", 4.0, sigma=1.5)
         assert analysis.bedrosian_residual(window, g) == 9.987449152172628e-10
 
+    def test_envelope_edge_at_the_threshold_passes(self, monkeypatch):
+        # the envelope may reach the edge fraction, and not exceed it
+        g = make_grid(-8.0, 8.0)
+        window = make_modulated_window("gauss", 4.0, sigma=2.0)
+        w = evaluate(make_modulated_window("gauss", 0.0, sigma=2.0), g.abscissas())
+        edge = max(w[0], w[-1])
+        assert edge > analysis._EDGE_FRACTION  # this grid is refused as it stands
+        monkeypatch.setattr(analysis, "_EDGE_FRACTION", edge)
+        assert analysis.bedrosian_residual(window, g) > 0.0
+        monkeypatch.setattr(analysis, "_EDGE_FRACTION", np.nextafter(edge, 0.0))
+        with pytest.raises(GridTooNarrowError):
+            analysis.bedrosian_residual(window, g)
+
     @pytest.mark.parametrize("window", [make_bspline_scaling(3), make_box(-1.0, 1.0), "sinc2"])
     def test_refuses_what_is_not_a_modulated_window(self, window):
         with pytest.raises(InvalidParameterError, match="modulated window"):

@@ -74,7 +74,8 @@ def test_no_unused_imports(path):
 
 
 # Records the library fills in: the results of the analyses and the spec its
-# ``make_*`` factories build from parameters they have checked.
+# ``make_*`` factories build (whose modulated-window fields the spec checks
+# itself, test_wavelets.py::TestModulatedWindow::test_spec_checks_its_fields).
 RECORDS = {"WaveletSpec", "MomentReport", "DecayFit", "BoundCertificate", "SobolevEstimate"}
 
 

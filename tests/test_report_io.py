@@ -1,11 +1,16 @@
 """CSV round trips, JSON report schema, SVG figure rendering."""
 
+import contextlib
+import errno
+import gc
 import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -46,6 +51,47 @@ def awkward_signal():
     return SampledSignal(g, v)
 
 
+# -0.0, the least subnormal, the largest float, and 1e16 and 1e17, where
+# %.17g turns from positional to exponent form
+AWKWARD_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                  9999999999999998.0, 1e16, 1e17]
+
+
+def one_shot_signal(count: int) -> SampledSignal:
+    """``count`` random samples, led by as many of the awkward values as fit."""
+    values = rng(count).normal(size=count)
+    awkward = AWKWARD_VALUES[:count]
+    values[:len(awkward)] = awkward
+    return SampledSignal(Grid(-1.25, 1.0 / 3.0, count), values)
+
+
+def one_shot_bytes(sig: SampledSignal) -> bytes:
+    """The signal CSV of ``sig``, formatted one row at a time by ``format``."""
+    rows = [f"{x:.17g},{v:.17g}" for x, v in zip(sig.x().tolist(), sig.values.tolist())]
+    return ("\n".join(["x,value", *rows]) + "\n").encode()
+
+
+def rows_sidecar_bytes(sig: SampledSignal, csv: bytes) -> bytes:
+    """The ``.rows`` sidecar of ``sig`` written as the CSV ``csv``."""
+    rows = np.column_stack((sig.x(), sig.values)).astype("<f8")
+    return b"hwl-rows-1\n" + hashlib.sha256(csv).digest() + rows.tobytes()
+
+
+@contextlib.contextmanager
+def no_resource_warning():
+    """Fail if the block leaves a file to its finalizer."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _without_sidecar(path: Path) -> Path:
     """``path`` with its ``.rows`` sidecar removed, so reads parse it."""
     Path(f"{path}.rows").unlink()
@@ -75,24 +121,29 @@ class TestSignalCsv:
         assert lines[0] == "x,value"
         assert len(lines) == 4
 
-    # -0.0, the least subnormal, the largest float, and 1e16 and 1e17, where
-    # %.17g turns from positional to exponent form
-    AWKWARD_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
-                      9999999999999998.0, 1e16, 1e17]
+    # "-1" to "None" straddle one and two blocks, and "2-rows" is the least
+    # file; the rest straddle the rows one process formats at the least
+    # (report_io._PROCESS_ROWS) and the counts where a second and third start
+    _BLOCK, _PROCESS = report_io._WRITE_BLOCK, report_io._PROCESS_ROWS
+    ROW_COUNTS = {"-1": _BLOCK - 1, "0": _BLOCK, "1": _BLOCK + 1, "None": 2 * _BLOCK + 1,
+                  "2-rows": 2, "process-1": _PROCESS - 1, "process": _PROCESS,
+                  "2-processes-1": 2 * _PROCESS - 1, "2-processes": 2 * _PROCESS,
+                  "3-processes+5": 3 * _PROCESS + 5}
 
-    @pytest.mark.parametrize("extra", [-1, 0, 1, None,
-                                       pytest.param(2 - report_io._WRITE_BLOCK, id="2-rows")])
-    def test_blocks_write_the_one_shot_bytes(self, tmp_path, extra):
-        block = report_io._WRITE_BLOCK
-        count = 2 * block + 1 if extra is None else block + extra
-        values = rng(count).normal(size=count)
-        awkward = self.AWKWARD_VALUES[:count]
-        values[:len(awkward)] = awkward
-        sig = SampledSignal(Grid(-1.25, 1.0 / 3.0, count), values)
-        rows = [f"{x:.17g},{v:.17g}" for x, v in zip(sig.x().tolist(), sig.values.tolist())]
+    @pytest.mark.parametrize("count", ROW_COUNTS.values(), ids=ROW_COUNTS.keys())
+    def test_blocks_write_the_one_shot_bytes(self, tmp_path, monkeypatch, count):
+        # with the CPUs this process may use, and with one, where nothing forks
+        sig = one_shot_signal(count)
+        want = one_shot_bytes(sig)
         p = tmp_path / "sig.csv"
         write_signal_csv(sig, p)
-        assert p.read_bytes() == ("\n".join(["x,value", *rows]) + "\n").encode()
+        assert p.read_bytes() == want
+        assert Path(f"{p}.rows").read_bytes() == rows_sidecar_bytes(sig, want)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
+        write_signal_csv(sig, p)
+        assert p.read_bytes() == want
+        assert Path(f"{p}.rows").read_bytes() == rows_sidecar_bytes(sig, want)
 
     def test_fast_parse_takes_a_plain_file(self, tmp_path, awkward_signal):
         p = tmp_path / "sig.csv"
@@ -203,6 +254,123 @@ def _parsed_outcome(path, tmp_dir):
     return _outcome(copy)
 
 
+def _fork_then(child):
+    """An ``os.fork`` whose child runs ``child()`` at once and ends there."""
+    fork = os.fork
+
+    def forked():
+        pid = fork()
+        if pid == 0:
+            try:
+                child()
+            finally:
+                os._exit(1)
+        return pid
+    return forked
+
+
+def _exit_status(status: int):
+    """An ``os.fork`` whose child writes its rows and then exits with ``status``."""
+    fork, exit_ = os.fork, os._exit
+
+    def forked():
+        pid = fork()
+        if pid == 0:
+            os._exit = lambda _: exit_(status)
+        return pid
+    return forked
+
+
+def _fork_fails():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+class _FullDisk:
+    """An output file whose every write after the header line fails."""
+
+    def __init__(self, out):
+        self.out = out
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.out.close()
+
+    def write(self, data):
+        if data != b"x,value\n":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.out.write(data)
+
+
+class TestParallelWriter:
+    """The writer formats a large signal CSV in one process per usable CPU;
+    whatever a child does, the bytes are those of a one-shot write, every
+    child is reaped and no file is left behind."""
+
+    COUNT = 3 * report_io._PROCESS_ROWS + 5
+
+    @pytest.fixture
+    def formatted(self, monkeypatch):
+        """Three CPUs, so three ranges on any machine, and the ranges this
+        process formats itself, in order."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        ranges = []
+        blocks = report_io._row_blocks
+
+        def row_blocks(x, values, start, stop):
+            ranges.append((start, stop))
+            return blocks(x, values, start, stop)
+        monkeypatch.setattr(report_io, "_row_blocks", row_blocks)
+        return ranges
+
+    def _write(self, tmp_path):
+        sig = one_shot_signal(self.COUNT)
+        p = tmp_path / "sig.csv"
+        with no_resource_warning():
+            write_signal_csv(sig, p)
+        want = one_shot_bytes(sig)
+        assert p.read_bytes() == want
+        assert Path(f"{p}.rows").read_bytes() == rows_sidecar_bytes(sig, want)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["sig.csv", "sig.csv.rows"]
+        assert_no_child()
+
+    def test_ranges(self, formatted):
+        # whole blocks each, at least _PROCESS_ROWS rows, the rest in the last
+        block = report_io._WRITE_BLOCK
+        assert report_io._row_ranges(self.COUNT) == [0, 4 * block, 8 * block, self.COUNT]
+
+    def test_children_format_all_but_the_first_range(self, tmp_path, formatted):
+        self._write(tmp_path)
+        assert formatted == [(0, 4 * report_io._WRITE_BLOCK)]
+
+    FAULTS = {
+        "fork-fails": _fork_fails,
+        "child-exits-1": _fork_then(lambda: os._exit(1)),
+        "child-killed": _fork_then(lambda: os.kill(os.getpid(), signal.SIGKILL)),
+        # exits 0 having written nothing: a part short of its rows
+        "child-writes-nothing": _fork_then(lambda: os._exit(0)),
+        "child-writes-then-exits-3": _exit_status(3),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS.values(), ids=FAULTS.keys())
+    def test_a_failed_child_falls_back_to_this_process(self, tmp_path, monkeypatch,
+                                                       formatted, fault):
+        monkeypatch.setattr(os, "fork", fault)
+        self._write(tmp_path)
+        block = report_io._WRITE_BLOCK
+        assert formatted == [(0, 4 * block), (4 * block, 8 * block), (8 * block, self.COUNT)]
+
+    def test_a_failed_write_reaps_every_child(self, tmp_path, monkeypatch, formatted):
+        p = tmp_path / "sig.csv"
+        monkeypatch.setattr(report_io, "open", lambda path, mode: _FullDisk(open(path, mode)),
+                            raising=False)
+        with no_resource_warning(), pytest.raises(OSError, match="No space left"):
+            write_signal_csv(one_shot_signal(self.COUNT), p)
+        assert_no_child()
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["sig.csv"]
+
+
 class TestRowsSidecar:
     """The ``.rows`` sidecar the writer leaves beside each signal CSV: a read
     loads it only when it matches the CSV's bytes, and gives the parse's
@@ -211,16 +379,14 @@ class TestRowsSidecar:
     def test_layout(self, tmp_path, awkward_signal):
         p = tmp_path / "sig.csv"
         write_signal_csv(awkward_signal, p)
-        rows = np.column_stack((awkward_signal.x(), awkward_signal.values)).astype("<f8")
-        assert Path(f"{p}.rows").read_bytes() == (
-            b"hwl-rows-1\n" + hashlib.sha256(p.read_bytes()).digest() + rows.tobytes())
+        assert Path(f"{p}.rows").read_bytes() == rows_sidecar_bytes(awkward_signal, p.read_bytes())
         assert sorted(f.name for f in tmp_path.iterdir()) == ["sig.csv", "sig.csv.rows"]
 
     @settings(max_examples=60, deadline=None)
     @given(
         values=hnp.arrays(np.float64, st.integers(2, 40), elements=st.one_of(
-            st.sampled_from(TestSignalCsv.AWKWARD_VALUES), st.floats(allow_nan=False,
-                                                                     allow_infinity=False))),
+            st.sampled_from(AWKWARD_VALUES), st.floats(allow_nan=False,
+                                                       allow_infinity=False))),
         x_min=st.floats(-1e6, 1e6),
         step=st.floats(1e-6, 1e6),
     )
@@ -399,7 +565,11 @@ class TestSignalCsvMemory:
         grid = Grid(-128.0, 2.0 ** -10, 2 ** 18 + 1)
         return hilbert_spectral(sample(make_spline_wavelet(3), grid))
 
-    def test_writer_holds_a_block(self, tmp_path, transform):
+    # in two processes on any machine, so a block here and a chunk of the
+    # child's part as it is copied in
+    def test_writer_holds_a_block(self, tmp_path, monkeypatch, transform):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert report_io._row_ranges(transform.grid.count)[1] < transform.grid.count
         assert traced_peak_mib(lambda: write_signal_csv(transform, tmp_path / "h.csv")) < 8.0
 
     # through the sidecar, which the reader loads once the CSV bytes are freed

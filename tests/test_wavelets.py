@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hwl.numerics import Grid, SampledSignal, integrate, l2_norm
 from hwl.wavelets import (
     DEGREE_CAP,
     PiecewiseConstant,
+    WaveletSpec,
     cardinal_bspline,
     evaluate,
     make_box,
@@ -245,6 +247,34 @@ class TestModulatedWindow:
                 make_modulated_window("sinc2", omega0=1.0, sigma=sigma)
         assert make_modulated_window("sinc2", omega0=1.0).sigma is None
         assert make_modulated_window("gauss", omega0=1.0).sigma == 1.0
+
+    @pytest.mark.parametrize("fields", [
+        dict(window_kind="gauss", omega0=np.nan, sigma=-1.0),
+        dict(window_kind="gauss", omega0=1.0, sigma=-1.0),
+        dict(window_kind="gauss", omega0=1.0, sigma=None),
+        dict(window_kind="gauss", omega0=-1.0, sigma=1.0),
+        dict(window_kind="sinc2", omega0=np.inf),
+        dict(window_kind="sinc2", omega0=1.0, sigma=1.0),
+        dict(window_kind="hann", omega0=1.0),
+        dict(window_kind=None, omega0=1.0),
+    ], ids=["nan-omega0-negative-sigma", "negative-sigma", "gauss-without-sigma",
+            "negative-omega0", "infinite-omega0", "sinc2-with-sigma", "hann", "no-window-kind"])
+    def test_spec_checks_its_fields(self, fields):
+        # the spec itself, not only make_modulated_window, refuses what would
+        # evaluate to NaN or to a window other than the one named
+        with pytest.raises(InvalidParameterError):
+            evaluate(WaveletSpec(kind="modulated_window", support=None, **fields),
+                     make_grid(-8.0, 8.0).abscissas())
+
+    def test_spec_refuses_an_unknown_kind(self):
+        with pytest.raises(InvalidParameterError, match="unknown generator kind 'morlet'"):
+            WaveletSpec(kind="morlet", support=None)
+
+    def test_replaced_frequency_is_checked(self):
+        window = make_modulated_window("gauss", 4.0, sigma=1.5)
+        assert replace(window, omega0=0.0).omega0 == 0.0
+        with pytest.raises(InvalidParameterError, match="omega0"):
+            replace(window, omega0=-1.0)
 
     def test_no_phase(self):
         # the window is w(x) * cos(omega0 x); there is no phase to set
