@@ -12,7 +12,7 @@ figure   render one of the three standard figures as SVG
 
 Grids are given as ``min:max:step`` with count = floor((max-min)/step) + 1;
 exit codes: 0 success, 2 usage error (including a non-finite option value,
-a ``--pad`` asking for more than 16 * MAX_GRID_COUNT FFT points, and
+a ``--pad`` asking for more than PAD_FACTOR * MAX_GRID_COUNT FFT points, and
 arithmetic that overflows or turns invalid), 3 data error (unreadable or
 inconsistent input files, such as two signals on different grids).  Every
 refusal, argparse's included, is one ``hwl:`` line on stderr.
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .numerics import GRID_TOLERANCE, Grid, SampledSignal
 from . import wavelets
-from .hilbert import fft_length, hilbert_pv, hilbert_spectral
+from .hilbert import PAD_FACTOR, fft_length, hilbert_pv, hilbert_spectral
 from . import analysis
 from .report_io import (
     PanelSpec,
@@ -151,10 +151,10 @@ def cmd_hilbert(args) -> int:
         out = hilbert_pv(f)
         meta = {"method": "pv"}
     else:
-        # a contract, not a memory guard (no N-point buffer); pad 16 reaches it at the top grid
-        if args.pad * f.grid.count > 16 * MAX_GRID_COUNT:
+        # a contract, not a memory guard (no N-point buffer); PAD_FACTOR reaches it at the top grid
+        if args.pad * f.grid.count > PAD_FACTOR * MAX_GRID_COUNT:
             raise UsageError(f"--pad {args.pad} on {f.grid.count} samples asks for more "
-                             f"than {16 * MAX_GRID_COUNT} FFT points (the cap)")
+                             f"than {PAD_FACTOR * MAX_GRID_COUNT} FFT points (the cap)")
         out = hilbert_spectral(f, pad_factor=args.pad)
         meta = {"method": "spectral", "pad_factor": args.pad,
                 "fft_length": fft_length(f.grid.count, args.pad)}
@@ -342,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="transform a signal CSV")
     p.add_argument("--method", required=True, choices=("pv", "spectral"))
-    p.add_argument("--pad", type=int, default=16, help="spectral zero-padding factor")
+    p.add_argument("--pad", type=int, default=PAD_FACTOR, help="spectral zero-padding factor")
     p.add_argument("--in", required=True, dest="in")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_hilbert)

@@ -31,15 +31,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularPointError
+from .errors import InvalidParameterError, SingularPointError
 from .numerics import SampledSignal, _smooth_length, check_integer, derivative, odd_kernel_sum
 from .wavelets import PiecewiseConstant
 from . import _pv_numpy
 
 PV_BACKEND = "numpy"
+PAD_FACTOR = 16  # the spectral engine's zero padding unless one is given
 
 __all__ = [
     "PV_BACKEND",
+    "PAD_FACTOR",
     "fft_length",
     "hilbert_pv",
     "hilbert_spectral",
@@ -47,7 +49,7 @@ __all__ = [
 ]
 
 
-def fft_length(count: int, pad_factor: int = 16) -> int:
+def fft_length(count: int, pad_factor: int = PAD_FACTOR) -> int:
     """Period N of the DFT multiplier ``hilbert_spectral`` reproduces.
 
     Pad factor 1 keeps the signal's own bins (exactly ``count``); any larger
@@ -77,7 +79,7 @@ def hilbert_pv(f: SampledSignal) -> SampledSignal:
     return SampledSignal(f.grid, s / np.pi)
 
 
-def hilbert_spectral(f: SampledSignal, *, pad_factor: int = 16) -> SampledSignal:
+def hilbert_spectral(f: SampledSignal, *, pad_factor: int = PAD_FACTOR) -> SampledSignal:
     """Spectral multiplier transform: -j*sign(w) on the zero-padded DFT.
 
     The output is the signal zero-padded to N = ``fft_length(count, pad_factor)``
@@ -120,11 +122,14 @@ def hilbert_box_closed_form(p: PiecewiseConstant, x) -> float | np.ndarray:
         Hf(x) = sum_i (levels[i]/pi) * ln| (x - b_i) / (x - b_{i+1}) |.
 
     Raises :class:`SingularPointError` when any evaluation point coincides
-    with a breakpoint, where the transform has a logarithmic singularity.
+    with a breakpoint, where the transform has a logarithmic singularity,
+    and :class:`InvalidParameterError` when ``p`` is not a step function.
     The transform decays like integral(f)/(pi x), so it is exactly 0.0 at
     an infinite abscissa; a NaN abscissa gives NaN.  A scalar ``x`` gives a
     float, an array one of its shape.
     """
+    if not isinstance(p, PiecewiseConstant):
+        raise InvalidParameterError(f"the closed form needs a step function, got {p!r}")
     scalar = np.isscalar(x)
     x = np.asarray(x, dtype=np.float64)
     bp = np.asarray(p.breakpoints)

@@ -123,7 +123,7 @@ class Grid:
 def _as_locked_array(values, count: int) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] != count:
-        raise ValueError(f"expected {count} values, got shape {v.shape}")
+        raise InvalidParameterError(f"expected {count} values, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InvalidParameterError("signal values must be finite (no NaN/Inf)")
     v = v.copy()
@@ -164,7 +164,7 @@ class Spectrum:
         f = np.asarray(self.frequencies, dtype=np.float64)
         v = np.asarray(self.values, dtype=np.complex128)
         if f.shape != v.shape or f.ndim != 1:
-            raise ValueError("frequencies and values must be 1-d arrays of equal length")
+            raise InvalidParameterError("frequencies and values must be 1-d arrays of equal length")
         f.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "frequencies", f)

@@ -81,39 +81,54 @@ class PiecewiseConstant:
 class WaveletSpec:
     """Description of an analytic generator; evaluate with :func:`evaluate`.
 
-    ``kind`` is one of ``bspline_scaling``, ``spline_wavelet``,
-    ``modulated_window``; the other fields are populated as the kind
-    requires.  ``support`` is None for the (unbounded) modulated windows.
-    Step functions (Haar, boxes) are :class:`PiecewiseConstant` instead.
+    ``kind`` is one of ``bspline_scaling``, ``spline_wavelet`` (which take a
+    ``degree``) and ``modulated_window`` (``window_kind``, ``omega0``,
+    ``sigma``).  ``support`` (None for the unbounded windows),
+    ``coefficients`` and ``amplitude`` (a spline wavelet's; else None and
+    1.0) are derived from ``kind`` and ``degree``: ``replace`` recomputes
+    them and refuses to set them.  Step functions (Haar, boxes) are
+    :class:`PiecewiseConstant` instead.
 
-    An unknown ``kind`` is refused, and so is a modulated window unless its
+    An unknown ``kind`` is refused, so is a spline kind unless its ``degree``
+    is an integer in [0, DEGREE_CAP], and a modulated window unless its
     ``window_kind`` is ``sinc2`` or ``gauss``, its ``omega0`` is finite and
     >= 0, and its ``sigma`` is finite and > 0 for ``gauss`` and None for
     ``sinc2``.
     """
 
     kind: str
-    support: tuple[float, float] | None
     degree: int | None = None
     window_kind: str | None = None
     omega0: float | None = None
     sigma: float | None = None
-    coefficients: tuple[float, ...] | None = field(default=None, repr=False)
-    amplitude: float = 1.0
+    support: tuple[float, float] | None = field(init=False)
+    coefficients: tuple[float, ...] | None = field(init=False, repr=False)
+    amplitude: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in ("bspline_scaling", "spline_wavelet", "modulated_window"):
             raise InvalidParameterError(f"unknown generator kind {self.kind!r}")
-        if self.kind != "modulated_window":
-            return
-        if self.window_kind not in ("sinc2", "gauss"):
-            raise InvalidParameterError(f"unknown window kind {self.window_kind!r}")
-        object.__setattr__(self, "omega0", check_real(self.omega0, "omega0", 0.0))
-        if self.window_kind == "gauss":
-            object.__setattr__(self, "sigma", check_real(self.sigma, "sigma", 0.0, strict=True))
-        elif self.sigma is not None:
-            raise InvalidParameterError(
-                f"sigma applies to the gauss window only, not {self.window_kind}")
+        derived = {"support": None, "coefficients": None, "amplitude": 1.0}
+        if self.kind == "modulated_window":
+            if self.window_kind not in ("sinc2", "gauss"):
+                raise InvalidParameterError(f"unknown window kind {self.window_kind!r}")
+            derived["omega0"] = check_real(self.omega0, "omega0", 0.0)
+            if self.window_kind == "gauss":
+                derived["sigma"] = check_real(self.sigma, "sigma", 0.0, strict=True)
+            elif self.sigma is not None:
+                raise InvalidParameterError(
+                    f"sigma applies to the gauss window only, not {self.window_kind}")
+        else:
+            derived["degree"] = degree = _check_degree(self.degree)
+            m = degree + 1
+            half = m / 2.0 if self.kind == "bspline_scaling" else m - 0.5
+            derived["support"] = (-half, half)
+            if self.kind == "spline_wavelet":
+                q = spline_wavelet_coefficients(degree)
+                derived["coefficients"] = tuple(q)
+                derived["amplitude"] = 1.0 / math.sqrt(_spline_wavelet_l2(q, m))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def cardinal_bspline(order: int, t) -> np.ndarray:
@@ -167,9 +182,7 @@ def make_bspline_scaling(degree: int) -> WaveletSpec:
     The (degree+1)-fold self-convolution of the unit box, shifted so the
     support midpoint is 0: support [-(degree+1)/2, (degree+1)/2].
     """
-    degree = _check_degree(degree)
-    half = (degree + 1) / 2.0
-    return WaveletSpec(kind="bspline_scaling", degree=degree, support=(-half, half))
+    return WaveletSpec(kind="bspline_scaling", degree=degree)
 
 
 def spline_wavelet_coefficients(degree: int) -> np.ndarray:
@@ -212,18 +225,7 @@ def make_spline_wavelet(degree: int) -> WaveletSpec:
     The construction carries m vanishing moments; degree 0 reproduces the
     Haar wavelet up to shift and normalization.
     """
-    degree = _check_degree(degree)
-    m = degree + 1
-    q = spline_wavelet_coefficients(degree)
-    amplitude = 1.0 / math.sqrt(_spline_wavelet_l2(q, m))
-    half = (2 * m - 1) / 2.0
-    return WaveletSpec(
-        kind="spline_wavelet",
-        degree=degree,
-        support=(-half, half),
-        coefficients=tuple(q),
-        amplitude=amplitude,
-    )
+    return WaveletSpec(kind="spline_wavelet", degree=degree)
 
 
 def make_modulated_window(window_kind: str, omega0: float,
@@ -237,13 +239,7 @@ def make_modulated_window(window_kind: str, omega0: float,
     """
     if window_kind == "gauss" and sigma is None:
         sigma = 1.0
-    return WaveletSpec(
-        kind="modulated_window",
-        support=None,
-        window_kind=window_kind,
-        omega0=omega0,
-        sigma=sigma,
-    )
+    return WaveletSpec(kind="modulated_window", window_kind=window_kind, omega0=omega0, sigma=sigma)
 
 
 def _formula(spec: WaveletSpec | PiecewiseConstant, x: np.ndarray) -> np.ndarray:
@@ -252,13 +248,12 @@ def _formula(spec: WaveletSpec | PiecewiseConstant, x: np.ndarray) -> np.ndarray
         # half-open [a, b) pieces; NaN sorts after every breakpoint, so gives 0.0
         return np.array((0.0, *spec.levels, 0.0))[np.searchsorted(spec.breakpoints, x, "right")]
     if spec.kind == "bspline_scaling":
-        return cardinal_bspline(spec.degree + 1, x + (spec.degree + 1) / 2.0)
+        return cardinal_bspline(spec.degree + 1, x - spec.support[0])
     if spec.kind == "spline_wavelet":
-        m = spec.degree + 1
-        xs = 2.0 * (x + (2 * m - 1) / 2.0)
+        xs = 2.0 * (x - spec.support[0])
         out = np.zeros_like(x)
         for k, qk in enumerate(spec.coefficients):
-            out += qk * cardinal_bspline(m, xs - k)
+            out += qk * cardinal_bspline(spec.degree + 1, xs - k)
         return spec.amplitude * out
     # a modulated window, the one kind left (WaveletSpec refuses any other)
     if spec.window_kind == "sinc2":
@@ -276,8 +271,10 @@ def evaluate(spec: WaveletSpec | PiecewiseConstant, x) -> np.ndarray:
     A generator with a compact ``support`` is computed at the abscissas in
     it only and is exactly +0.0 outside it, an infinite abscissa included;
     a NaN abscissa gives NaN, or 0.0 for a step function.  A scalar ``x``
-    gives a NumPy scalar.
+    gives a NumPy scalar.  Anything but a generator is refused.
     """
+    if not isinstance(spec, (WaveletSpec, PiecewiseConstant)):
+        raise InvalidParameterError(f"not a generator: {spec!r}")
     x = np.asarray(x, dtype=np.float64)
     if spec.support is None:
         return _formula(spec, x)

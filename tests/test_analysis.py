@@ -148,6 +148,20 @@ class TestFitDecay:
         with pytest.raises(FitWindowError):
             analysis.fit_decay(f, (4.0, 64.0))
 
+    # a window between two samples; an unknown side; a grid that stops
+    # short on the left only
+    @pytest.mark.parametrize("grid, window, side, error, match", [
+        (Grid(-8.0, 1.0, 17), (2.2, 2.8), "right", FitWindowError, "no grid points"),
+        (Grid(-8.0, 1.0, 17), (2.0, 6.0), "both", InvalidParameterError, "unknown side"),
+        (Grid(-8.0, 0.125, 577), (4.0, 32.0), "two_sided", FitWindowError,
+         "grid starts at -8"),
+        (Grid(-8.0, 0.125, 577), (4.0, 32.0), "left", FitWindowError, "grid starts at -8"),
+    ], ids=["between-samples", "unknown-side", "past-the-left-end", "left-past-the-end"])
+    def test_window_refusals(self, grid, window, side, error, match):
+        f = SampledSignal(grid, 1.0 / (1.0 + grid.abscissas() ** 2))
+        with pytest.raises(error, match=match):
+            analysis.fit_decay(f, window, side=side)
+
     def test_too_few_usable_points(self, grid_64):
         f = SampledSignal(grid_64, np.zeros(grid_64.count))
         with pytest.raises(FitWindowError):
@@ -616,6 +630,20 @@ class TestPartition:
     def test_wavelet_spec_rejected(self, grid_16):
         with pytest.raises(InvalidParameterError):
             analysis.partition_deviation(make_spline_wavelet(2), 10, False, grid_16)
+
+    @pytest.mark.parametrize("transformed", [False, True])
+    def test_non_generator_rejected(self, grid_16, transformed):
+        with pytest.raises(InvalidParameterError, match="unsupported generator"):
+            analysis.partition_deviation("box", 10, transformed, grid_16)
+
+    def test_transformed_shifts_must_be_whole_steps(self):
+        # 1/step = 3.33...: a unit shift is not a whole number of samples
+        with pytest.raises(InvalidParameterError, match="1/step = 3.33"):
+            analysis.partition_deviation(make_bspline_scaling(1), 4, True, Grid(-6.0, 0.3, 41))
+        # within GRID_TOLERANCE of an integer: shifts of 10 samples
+        got = analysis.partition_deviation(make_bspline_scaling(1), 4, True,
+                                           Grid(-8.3, 0.1, 171))
+        assert got.grid.count == 171
 
     # the Haar wavelet is a step function as the box is, but with two levels
     @pytest.mark.parametrize("transformed", [False, True])

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: exit codes, files produced, pipelines."""
 
 import argparse
+import inspect
 import json
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hwl import cli
+from hwl import cli, hilbert
 from hwl.numerics import Grid, SampledSignal
 from hwl.report_io import read_signal_csv, write_signal_csv
 
@@ -77,6 +78,7 @@ class TestGen:
         ("sinc2-cos,1e308", "-4:4:1"),  # finite parameters, non-finite samples
         ("sinc2-cos,3,0.5", "-4:4:1"),  # the modulated windows take no phase
         ("gauss-cos,1,3,0", "-4:4:1"),
+        ("haar-wavelet", "0:0.5:1"),  # one sample
     ])
     def test_refusals_name_the_problem(self, tmp_path, capsys, wavelet, grid):
         assert_refused(capsys, ["gen", "--wavelet", wavelet, "--grid", grid,
@@ -189,6 +191,21 @@ class TestHilbert:
                                 "--in", haar, "--out", tmp_path / "o.csv"], 2)
         assert not (tmp_path / "o.csv").exists()
 
+    def test_pad_default_and_cap_read_one_constant(self, tmp_path, capsys, monkeypatch):
+        # the engine, the FFT-length rule, --pad's default and its cap
+        assert hilbert.PAD_FACTOR == 16
+        for fn in (hilbert.fft_length, hilbert.hilbert_spectral):
+            assert inspect.signature(fn).parameters["pad_factor"].default is hilbert.PAD_FACTOR
+        monkeypatch.setattr(cli, "PAD_FACTOR", 1)
+        args = cli._build_parser.__wrapped__().parse_args(
+            ["hilbert", "--method", "spectral", "--in", "i.csv", "--out", "o.csv"])
+        assert args.pad == 1
+        haar = tmp_path / "haar.csv"
+        assert run(["gen", "--wavelet", "haar-wavelet", "--grid", "-2:2:0.25", "--out", haar]) == 0
+        err = assert_refused(capsys, ["hilbert", "--method", "spectral", "--pad", 2 ** 24,
+                                      "--in", haar, "--out", tmp_path / "o.csv"], 2)
+        assert f"than {cli.MAX_GRID_COUNT} FFT points (the cap)" in err
+
     def test_unreadable_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,value\n0.0,1.0\n5.0,2.0\n6.0,3.0\n")
@@ -271,6 +288,24 @@ class TestAnalyze:
                                       "--json", tmp_path / "bed.json"], 2)
         assert "sigma applies to the gauss window only, not sinc2" in err
         assert not (tmp_path / "bed.json").exists()
+
+    # a lower-bound check passes below the measured value and fails at it
+    @pytest.mark.parametrize("argv, option, field", [
+        (["decay", "--in", "HPSI", "--window", "4:64"], "--min-r2", "r_squared"),
+        (["bedrosian", "--window", "gauss", "--omega0", 1, "--grid", "-32:32:0.0625"],
+         "--min-residual", "residual"),
+        (["partition", "--wavelet", "bspline-scaling,3", "--k", 8, "--transformed",
+          "--grid", "-8:8:0.0625"], "--min-central", "min_abs_central"),
+    ], ids=["min-r2", "min-residual", "min-central"])
+    def test_lower_bound_checks(self, tmp_path, haar_pv, argv, option, field):
+        report = tmp_path / "r.json"
+        argv = ["analyze", *[haar_pv[1] if a == "HPSI" else a for a in argv]]
+        assert run([*argv, option, 0, "--json", report]) == 0
+        payload = json.loads(report.read_text())
+        assert payload[field] > 0 and payload["pass"] is True
+        assert run([*argv, option, payload[field], "--json", report]) == 0
+        payload = json.loads(report.read_text())
+        assert list(payload["checks"].values()) == [False] and payload["pass"] is False
 
     def test_certificate_report(self, tmp_path):
         psi = tmp_path / "w3.csv"

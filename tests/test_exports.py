@@ -73,9 +73,44 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never reads: {unused}"
 
 
+SOURCES = sorted(Path(hwl.__file__).parent.glob("*.py"))
+
+# ``hwlbench/trace.py`` wraps ``cli._write_run_json``, an alias nothing in
+# ``hwl`` reads; it goes with its tracer row in ROADMAP item 1.
+UNREAD_PRIVATE = {"cli.py": {"_write_run_json"}}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    """Every private top-level function, class or constant of a module of
+    ``hwl`` is read somewhere in ``hwl``: as a name in its own module, or by
+    another module that imports it or reads it as an attribute of the
+    module.  This is the dead-helper check."""
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    read = {node.id for node in ast.walk(trees[path])
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == path.stem:
+            read.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == path.stem):
+            read.add(node.attr)
+    defined = set()
+    for node in trees[path].body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    unread = {name for name in defined - read - UNREAD_PRIVATE.get(path.name, set())
+              if name.startswith("_") and not name.startswith("__")}
+    assert not unread, f"{path.name} defines private names nothing reads: {sorted(unread)}"
+
+
 # Records the library fills in: the results of the analyses and the spec its
-# ``make_*`` factories build (whose modulated-window fields the spec checks
-# itself, test_wavelets.py::TestModulatedWindow::test_spec_checks_its_fields).
+# ``make_*`` factories build (which checks its own degree and modulated-window
+# fields, test_wavelets.py::TestSpecDerivesItsFields::test_spline_kind_checks_its_degree
+# and TestModulatedWindow::test_spec_checks_its_fields).
 RECORDS = {"WaveletSpec", "MomentReport", "DecayFit", "BoundCertificate", "SobolevEstimate"}
 
 

@@ -95,6 +95,13 @@ class TestClosedForm:
         with pytest.raises(SingularPointError):
             hilbert_box_closed_form(make_haar_wavelet(), np.array([np.inf, -1.0]))
 
+    @pytest.mark.parametrize("p", [make_spline_wavelet(3), "haar", None],
+                             ids=["spline-wavelet", "haar", "None"])
+    def test_only_a_step_function(self, p):
+        # a spline wavelet raised AttributeError
+        with pytest.raises(InvalidParameterError, match="needs a step function"):
+            hilbert_box_closed_form(p, 0.5)
+
     @pytest.mark.parametrize("p", [make_haar_wavelet(), make_box(-0.5, 2.0)],
                              ids=["haar", "box"])
     def test_infinite_abscissa_is_zero(self, p):

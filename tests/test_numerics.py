@@ -252,6 +252,13 @@ class TestSampledSignal:
         with pytest.raises(ValueError):
             SampledSignal(g, [0.0, 1.0])
 
+    @pytest.mark.parametrize("values", [[0.0, 1.0], [[0.0] * 4], 0.0],
+                             ids=["short", "2-d", "scalar"])
+    def test_wrong_length_is_an_invalid_parameter(self, values):
+        # a bare ValueError before; InvalidParameterError is one
+        with pytest.raises(InvalidParameterError, match="expected 4 values"):
+            SampledSignal(Grid(0.0, 1.0, 4), values)
+
     def test_values_locked(self):
         s = SampledSignal(Grid(0.0, 1.0, 3), [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
@@ -390,6 +397,13 @@ class TestDft:
         s = Spectrum(frequencies=w, values=v)
         assert s.frequencies is w and s.values is v
         assert not (w.flags.writeable or v.flags.writeable)
+
+    @pytest.mark.parametrize("frequencies, values", [
+        ([0.0, 1.0], [1.0 + 0j]), ([[0.0, 1.0]], [[1.0, 1.0]]),
+    ], ids=["lengths", "2-d"])
+    def test_spectrum_shape_is_an_invalid_parameter(self, frequencies, values):
+        with pytest.raises(InvalidParameterError, match="1-d arrays of equal length"):
+            Spectrum(frequencies=np.array(frequencies), values=np.array(values))
 
     def test_spectrum_shape_validation(self):
         with pytest.raises(ValueError):

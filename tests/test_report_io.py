@@ -340,6 +340,13 @@ class TestParallelWriter:
         block = report_io._WRITE_BLOCK
         assert report_io._row_ranges(self.COUNT) == [0, 4 * block, 8 * block, self.COUNT]
 
+    def test_no_cpu_affinity_writes_in_one_process(self, tmp_path, monkeypatch):
+        # a platform without os.sched_getaffinity formats every row here
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without CPU affinity"))
+        assert report_io._row_ranges(self.COUNT) == [0, self.COUNT]
+        self._write(tmp_path)
+
     def test_children_format_all_but_the_first_range(self, tmp_path, formatted):
         self._write(tmp_path)
         assert formatted == [(0, 4 * report_io._WRITE_BLOCK)]
@@ -644,6 +651,21 @@ class TestReportJson:
         p.write_text(json.dumps({"kind": "mystery", "fields": 1}))
         with pytest.raises(SchemaError, match="unknown report kind"):
             read_report_json(p)
+
+    @pytest.mark.parametrize("payload", [[1, 2], {"exponent": 2.0}, {"kind": 3}, "decay_fit"],
+                             ids=["list", "no-kind", "kind-not-a-string", "string"])
+    def test_object_without_kind_rejected(self, tmp_path, payload):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="must carry a 'kind'"):
+            read_report_json(p)
+
+    @pytest.mark.parametrize("report", [object(), ("mystery", {}), ("tail_limit",), {}],
+                             ids=["object", "unknown-record", "short-tuple", "dict"])
+    def test_unknown_report_type_rejected(self, tmp_path, report):
+        with pytest.raises(SchemaError, match="unknown report type"):
+            write_report_json(report, tmp_path / "w.json")
+        assert not (tmp_path / "w.json").exists()
 
     def test_missing_fields_rejected(self, tmp_path):
         p = tmp_path / "short.json"

@@ -1,5 +1,6 @@
 """Generators: Haar family, B-splines, spline wavelets, modulated windows."""
 
+import inspect
 import re
 import warnings
 from dataclasses import replace
@@ -217,6 +218,45 @@ class TestSplineWavelet:
         np.testing.assert_array_equal(sample(a, g).values, sample(b, g).values)
 
 
+class TestSpecDerivesItsFields:
+    """A spline spec is its kind and degree: ``support``, ``coefficients``
+    and ``amplitude`` are computed from them, never given."""
+
+    @pytest.mark.parametrize("make", [make_bspline_scaling, make_spline_wavelet])
+    @pytest.mark.parametrize("start", [0, 3, DEGREE_CAP])
+    def test_replaced_degree_is_the_made_spec(self, make, start):
+        # replace kept the old support and coefficients: the cubic wavelet
+        # replaced to degree 1 gave -0.4955 at 0.3, and the true one 0.0667
+        g = Grid(-24.0, 0.25, 193)
+        for degree in range(DEGREE_CAP + 1):
+            got, want = replace(make(start), degree=degree), make(degree)
+            assert got == want
+            assert sample(got, g).values.tobytes() == sample(want, g).values.tobytes()
+
+    @pytest.mark.parametrize("name, value", [
+        ("support", (-2.0, 2.0)), ("coefficients", (1.0, -1.0)), ("amplitude", 2.0),
+    ])
+    def test_derived_fields_cannot_be_set(self, name, value):
+        spec = make_spline_wavelet(3)
+        with pytest.raises(ValueError, match=f"{name} is declared with init=False"):
+            replace(spec, **{name: value})
+        with pytest.raises(TypeError, match=name):
+            WaveletSpec(kind="spline_wavelet", degree=3, **{name: value})
+
+    def test_constructor_takes_the_parameters_only(self):
+        assert list(inspect.signature(WaveletSpec).parameters) == [
+            "kind", "degree", "window_kind", "omega0", "sigma"]
+        window = make_modulated_window("gauss", 1.0)
+        assert (window.support, window.coefficients, window.amplitude) == (None, None, 1.0)
+
+    @pytest.mark.parametrize("kind", ["bspline_scaling", "spline_wavelet"])
+    @pytest.mark.parametrize("degree", [None, 2.5, True, -1, DEGREE_CAP + 1],
+                             ids=["missing", "fractional", "bool", "negative", "over-cap"])
+    def test_spline_kind_checks_its_degree(self, kind, degree):
+        with pytest.raises(InvalidParameterError, match="degree"):
+            WaveletSpec(kind=kind, degree=degree)  # None is the default: no degree
+
+
 class TestModulatedWindow:
     def test_sinc2_at_zero(self):
         w = make_modulated_window("sinc2", omega0=7.3)
@@ -263,12 +303,12 @@ class TestModulatedWindow:
         # the spec itself, not only make_modulated_window, refuses what would
         # evaluate to NaN or to a window other than the one named
         with pytest.raises(InvalidParameterError):
-            evaluate(WaveletSpec(kind="modulated_window", support=None, **fields),
+            evaluate(WaveletSpec(kind="modulated_window", **fields),
                      make_grid(-8.0, 8.0).abscissas())
 
     def test_spec_refuses_an_unknown_kind(self):
         with pytest.raises(InvalidParameterError, match="unknown generator kind 'morlet'"):
-            WaveletSpec(kind="morlet", support=None)
+            WaveletSpec(kind="morlet")
 
     def test_replaced_frequency_is_checked(self):
         window = make_modulated_window("gauss", 4.0, sigma=1.5)
@@ -287,6 +327,14 @@ class TestSample:
         g = make_grid(-2.0, 2.0)
         f = sample(make_haar_wavelet(), g)
         assert f.value_at(0.0) == -1.0
+
+    @pytest.mark.parametrize("spec", ["haar", None, make_haar_wavelet])
+    def test_non_generator_refused(self, spec):
+        # evaluate("haar", 0.5) raised AttributeError
+        with pytest.raises(InvalidParameterError, match="not a generator"):
+            evaluate(spec, 0.5)
+        with pytest.raises(InvalidParameterError, match="not a generator"):
+            sample(spec, make_grid(-2.0, 2.0))
 
 
 def _whole_array(spec, x):
