@@ -1,9 +1,10 @@
 """hwl: a numerical laboratory for Hilbert transforms of wavelets.
 
 Two independent Hilbert transform engines (principal-value quadrature and a
-spectral sign multiplier), generators for the classical test functions
-(Haar family, B-spline scaling functions, compactly supported spline
-wavelets, modulated windows), and analysis routines that certify decay
+spectral sign multiplier), generators for the classical test functions, one
+class per family (``PiecewiseConstant`` for the Haar family and boxes,
+``BSplineScaling``, ``SplineWavelet``, ``ModulatedWindow``; ``Generator`` is
+their union), and analysis routines that certify decay
 rates, vanishing moments, Sobolev smoothness, the Bedrosian identity and
 the partition-of-unity breakdown empirically.
 """
@@ -25,8 +26,11 @@ from .numerics import (  # noqa: E402
     sup_norm,
 )
 from .wavelets import (  # noqa: E402
+    BSplineScaling,
+    Generator,
+    ModulatedWindow,
     PiecewiseConstant,
-    WaveletSpec,
+    SplineWavelet,
     evaluate,
     make_box,
     make_bspline_scaling,
@@ -71,7 +75,10 @@ __all__ = [
     "mixed_norm",
     "dft",
     "PiecewiseConstant",
-    "WaveletSpec",
+    "BSplineScaling",
+    "SplineWavelet",
+    "ModulatedWindow",
+    "Generator",
     "make_haar_wavelet",
     "make_haar_scaling",
     "make_box",

@@ -26,7 +26,7 @@ from .numerics import (  # noqa: F401
     GRID_TOLERANCE, Grid, SampledSignal, check_integer, check_real, derivative, dft, integrate,
     l1_norm, mixed_norm, sup_norm,
 )
-from .wavelets import PiecewiseConstant, WaveletSpec, evaluate, sample
+from .wavelets import BSplineScaling, ModulatedWindow, PiecewiseConstant, evaluate, sample
 from .hilbert import hilbert_spectral
 
 __all__ = [
@@ -383,17 +383,17 @@ def smoothness_profile(f: SampledSignal, gamma_grid: Iterable[float]) -> Sobolev
     )
 
 
-def bedrosian_residual(window: WaveletSpec, grid: Grid) -> float:
+def bedrosian_residual(window: ModulatedWindow, grid: Grid) -> float:
     """Sup distance between H[w(x)cos(omega0 x)] and w(x)sin(omega0 x).
 
-    ``window`` is a modulated window (``wavelets.make_modulated_window``).
+    ``window`` is a :class:`~hwl.wavelets.ModulatedWindow`.
     Measured over the central half of the grid with the spectral engine.
     Vanishes (to sampling/truncation error) when the window is bandlimited
     below omega0; order-one when the modulation identity's hypothesis is
     violated.  Rejects grids whose edges still carry more than 1e-4 of the
     window envelope.
     """
-    if not (isinstance(window, WaveletSpec) and window.kind == "modulated_window"):
+    if not isinstance(window, ModulatedWindow):
         raise InvalidParameterError(
             f"the Bedrosian check needs a modulated window, got {window!r}"
         )
@@ -413,7 +413,7 @@ def bedrosian_residual(window: WaveletSpec, grid: Grid) -> float:
     return float(np.max(np.abs(transformed.values - target)[central]))
 
 
-def partition_deviation(spec: WaveletSpec | PiecewiseConstant, k_range: int,
+def partition_deviation(spec: BSplineScaling | PiecewiseConstant, k_range: int,
                         transformed: bool, grid: Grid) -> SampledSignal:
     """Deviation of sum_{|k| <= K} g(x - k) from 1 on the grid.
 
@@ -423,14 +423,10 @@ def partition_deviation(spec: WaveletSpec | PiecewiseConstant, k_range: int,
     flat for partition-of-unity generators, and the point of the
     transformed variant is to show exactly that flatness being destroyed.
     """
-    if isinstance(spec, WaveletSpec):
-        if spec.kind != "bspline_scaling":
-            raise InvalidParameterError(
-                f"partition sums need a scaling-function generator, got {spec.kind!r}"
-            )
-    elif not isinstance(spec, PiecewiseConstant):
-        raise InvalidParameterError("unsupported generator for a partition sum")
-    elif len(spec.levels) != 1:
+    if not isinstance(spec, (BSplineScaling, PiecewiseConstant)):
+        raise InvalidParameterError(
+            f"partition sums need a scaling-function generator, got {spec!r}")
+    if isinstance(spec, PiecewiseConstant) and len(spec.levels) != 1:
         raise InvalidParameterError(
             "partition sums need a scaling-function generator, got a step function "
             f"with {len(spec.levels)} levels"
@@ -452,10 +448,10 @@ def partition_deviation(spec: WaveletSpec | PiecewiseConstant, k_range: int,
             total[i0:i1] += evaluate(spec, x[i0:i1] - k)
         return SampledSignal(grid, total - 1.0)
     shift = 1.0 / grid.step
-    if abs(shift - round(shift)) > GRID_TOLERANCE:
+    if shift == math.inf or abs(shift - round(shift)) > GRID_TOLERANCE or round(shift) < 1:
         raise InvalidParameterError(
             "transformed partition sums need integer shifts to be grid-aligned: "
-            f"1/step = {shift} is not an integer"
+            f"1/step = {shift} is not a positive integer"
         )
     shift = int(round(shift))
     g = hilbert_spectral(sample(spec, grid)).values

@@ -1,9 +1,11 @@
-"""Generators for the toolkit's test functions.
+"""Generators for the toolkit's test functions, one frozen dataclass per family.
 
 Haar family and boxes are exact step functions (:class:`PiecewiseConstant`);
-B-spline scaling functions and compactly supported semi-orthogonal spline
-wavelets are evaluated through the Cox-de Boor recursion; modulated windows
-cover the bandlimited (sinc^2) and effectively-bandlimited (Gaussian) cases.
+B-spline scaling functions (:class:`BSplineScaling`) and compactly supported
+semi-orthogonal spline wavelets (:class:`SplineWavelet`) go through the
+Cox-de Boor recursion; modulated windows (:class:`ModulatedWindow`) cover the
+bandlimited (sinc^2) and effectively-bandlimited (Gaussian) cases.  Each class
+checks its own parameters and owns its formula; ``Generator`` is their union.
 
 Conventions:
 
@@ -16,7 +18,7 @@ Conventions:
 * every compactly supported generator, step functions included, has a
   ``support`` (lo, hi); :func:`evaluate` computes it at the abscissas in
   [lo, hi] only, and it is exactly +0.0 outside, at infinite abscissas too;
-* a NaN abscissa gives NaN for the spline kinds and the modulated windows,
+* a NaN abscissa gives NaN for the spline families and the modulated windows,
   and 0.0 for step functions.
 """
 
@@ -31,19 +33,10 @@ from .errors import InvalidParameterError
 from .numerics import Grid, SampledSignal, check_integer, check_real
 
 __all__ = [
-    "DEGREE_CAP",
-    "PiecewiseConstant",
-    "WaveletSpec",
-    "make_haar_wavelet",
-    "make_haar_scaling",
-    "make_box",
-    "make_bspline_scaling",
-    "make_spline_wavelet",
-    "make_modulated_window",
-    "cardinal_bspline",
-    "spline_wavelet_coefficients",
-    "evaluate",
-    "sample",
+    "DEGREE_CAP", "PiecewiseConstant", "BSplineScaling", "SplineWavelet", "ModulatedWindow",
+    "Generator", "make_haar_wavelet", "make_haar_scaling", "make_box", "make_bspline_scaling",
+    "make_spline_wavelet", "make_modulated_window", "cardinal_bspline",
+    "spline_wavelet_coefficients", "evaluate", "sample",
 ]
 
 DEGREE_CAP = 20
@@ -76,59 +69,105 @@ class PiecewiseConstant:
         """The first and last breakpoint."""
         return self.breakpoints[0], self.breakpoints[-1]
 
+    def _formula(self, x: np.ndarray) -> np.ndarray:
+        # half-open [a, b) pieces; NaN sorts after every breakpoint, so gives 0.0
+        return np.array((0.0, *self.levels, 0.0))[np.searchsorted(self.breakpoints, x, "right")]
+
 
 @dataclass(frozen=True)
-class WaveletSpec:
-    """Description of an analytic generator; evaluate with :func:`evaluate`.
+class BSplineScaling:
+    """Centered B-spline scaling function of the given degree.
 
-    ``kind`` is one of ``bspline_scaling``, ``spline_wavelet`` (which take a
-    ``degree``) and ``modulated_window`` (``window_kind``, ``omega0``,
-    ``sigma``).  ``support`` (None for the unbounded windows),
-    ``coefficients`` and ``amplitude`` (a spline wavelet's; else None and
-    1.0) are derived from ``kind`` and ``degree``: ``replace`` recomputes
-    them and refuses to set them.  Step functions (Haar, boxes) are
-    :class:`PiecewiseConstant` instead.
-
-    An unknown ``kind`` is refused, so is a spline kind unless its ``degree``
-    is an integer in [0, DEGREE_CAP], and a modulated window unless its
-    ``window_kind`` is ``sinc2`` or ``gauss``, its ``omega0`` is finite and
-    >= 0, and its ``sigma`` is finite and > 0 for ``gauss`` and None for
-    ``sinc2``.
+    The (degree+1)-fold self-convolution of the unit box, shifted so the
+    support midpoint is 0: ``support`` is [-(degree+1)/2, (degree+1)/2],
+    derived from ``degree``, an integer in [0, DEGREE_CAP].
     """
 
-    kind: str
-    degree: int | None = None
-    window_kind: str | None = None
-    omega0: float | None = None
-    sigma: float | None = None
-    support: tuple[float, float] | None = field(init=False)
-    coefficients: tuple[float, ...] | None = field(init=False, repr=False)
-    amplitude: float = field(init=False)
+    degree: int
+    support: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("bspline_scaling", "spline_wavelet", "modulated_window"):
-            raise InvalidParameterError(f"unknown generator kind {self.kind!r}")
-        derived = {"support": None, "coefficients": None, "amplitude": 1.0}
-        if self.kind == "modulated_window":
-            if self.window_kind not in ("sinc2", "gauss"):
-                raise InvalidParameterError(f"unknown window kind {self.window_kind!r}")
-            derived["omega0"] = check_real(self.omega0, "omega0", 0.0)
-            if self.window_kind == "gauss":
-                derived["sigma"] = check_real(self.sigma, "sigma", 0.0, strict=True)
-            elif self.sigma is not None:
-                raise InvalidParameterError(
-                    f"sigma applies to the gauss window only, not {self.window_kind}")
-        else:
-            derived["degree"] = degree = _check_degree(self.degree)
-            m = degree + 1
-            half = m / 2.0 if self.kind == "bspline_scaling" else m - 0.5
-            derived["support"] = (-half, half)
-            if self.kind == "spline_wavelet":
-                q = spline_wavelet_coefficients(degree)
-                derived["coefficients"] = tuple(q)
-                derived["amplitude"] = 1.0 / math.sqrt(_spline_wavelet_l2(q, m))
-        for name, value in derived.items():
+        degree = _check_degree(self.degree)
+        half = (degree + 1) / 2.0
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "support", (-half, half))
+
+    def _formula(self, x: np.ndarray) -> np.ndarray:
+        return cardinal_bspline(self.degree + 1, x - self.support[0])
+
+
+@dataclass(frozen=True)
+class SplineWavelet:
+    """Compactly supported semi-orthogonal spline wavelet of the given degree.
+
+    Order m = degree + 1, ``degree`` an integer in [0, DEGREE_CAP]; built from
+    half-scale B-splines with the synthesis ``coefficients`` of
+    :func:`spline_wavelet_coefficients`, centered so the ``support``
+    [-(2m-1)/2, (2m-1)/2] has midpoint 0, and scaled by ``amplitude`` to unit
+    L2 norm; all three are derived from ``degree``.  The construction carries
+    m vanishing moments; degree 0 reproduces the Haar wavelet up to shift and
+    normalization.
+    """
+
+    degree: int
+    support: tuple[float, float] = field(init=False, repr=False)
+    coefficients: tuple[float, ...] = field(init=False, repr=False)
+    amplitude: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        degree = _check_degree(self.degree)
+        m = degree + 1
+        q = spline_wavelet_coefficients(degree)
+        for name, value in (("degree", degree), ("support", (0.5 - m, m - 0.5)),
+                            ("coefficients", tuple(q)),
+                            ("amplitude", 1.0 / math.sqrt(_spline_wavelet_l2(q, m)))):
             object.__setattr__(self, name, value)
+
+    def _formula(self, x: np.ndarray) -> np.ndarray:
+        xs = 2.0 * (x - self.support[0])
+        out = np.zeros_like(x)
+        for k, qk in enumerate(self.coefficients):
+            out += qk * cardinal_bspline(self.degree + 1, xs - k)
+        return self.amplitude * out
+
+
+@dataclass(frozen=True)
+class ModulatedWindow:
+    """Modulated localization window x -> w(x) * cos(omega0*x).
+
+    ``sinc2`` is w(x) = (sin x / x)^2 with w(0) = 1, bandlimited to (-2, 2);
+    ``gauss`` is w(x) = exp(-x^2 / (2 sigma^2)).  ``window_kind`` must be one
+    of the two, ``omega0`` finite and >= 0, and ``sigma`` finite and > 0 for
+    ``gauss`` and None for ``sinc2``.  The window has no compact support.
+    """
+
+    window_kind: str
+    omega0: float
+    sigma: float | None = None
+    support = None
+
+    def __post_init__(self):
+        if self.window_kind not in ("sinc2", "gauss"):
+            raise InvalidParameterError(f"unknown window kind {self.window_kind!r}")
+        object.__setattr__(self, "omega0", check_real(self.omega0, "omega0", 0.0))
+        match self.window_kind:
+            case "gauss":
+                object.__setattr__(self, "sigma", check_real(self.sigma, "sigma", 0.0, strict=True))
+            case "sinc2" if self.sigma is not None:
+                raise InvalidParameterError("sigma applies to the gauss window only, not sinc2")
+
+    def _formula(self, x: np.ndarray) -> np.ndarray:
+        match self.window_kind:
+            case "sinc2":
+                w = np.ones_like(x)
+                nz = x != 0.0
+                w[nz] = (np.sin(x[nz]) / x[nz]) ** 2
+            case "gauss":
+                w = np.exp(-(x * x) / (2.0 * self.sigma ** 2))
+        return w * np.cos(self.omega0 * x)
+
+
+Generator = PiecewiseConstant | BSplineScaling | SplineWavelet | ModulatedWindow
 
 
 def cardinal_bspline(order: int, t) -> np.ndarray:
@@ -176,13 +215,9 @@ def make_box(a: float, b: float) -> PiecewiseConstant:
     return PiecewiseConstant(breakpoints=(a, b), levels=(1.0,))
 
 
-def make_bspline_scaling(degree: int) -> WaveletSpec:
-    """Centered B-spline scaling function of the given degree.
-
-    The (degree+1)-fold self-convolution of the unit box, shifted so the
-    support midpoint is 0: support [-(degree+1)/2, (degree+1)/2].
-    """
-    return WaveletSpec(kind="bspline_scaling", degree=degree)
+def make_bspline_scaling(degree: int) -> BSplineScaling:
+    """The :class:`BSplineScaling` of the given degree."""
+    return BSplineScaling(degree)
 
 
 def spline_wavelet_coefficients(degree: int) -> np.ndarray:
@@ -216,56 +251,21 @@ def _spline_wavelet_l2(q: np.ndarray, m: int) -> float:
     return 0.5 * total
 
 
-def make_spline_wavelet(degree: int) -> WaveletSpec:
-    """Compactly supported semi-orthogonal spline wavelet of the given degree.
-
-    Order m = degree + 1; built from half-scale B-splines with the synthesis
-    coefficients of :func:`spline_wavelet_coefficients`, centered so the
-    support [-(2m-1)/2, (2m-1)/2] has midpoint 0, and scaled to unit L2 norm.
-    The construction carries m vanishing moments; degree 0 reproduces the
-    Haar wavelet up to shift and normalization.
-    """
-    return WaveletSpec(kind="spline_wavelet", degree=degree)
+def make_spline_wavelet(degree: int) -> SplineWavelet:
+    """The :class:`SplineWavelet` of the given degree."""
+    return SplineWavelet(degree)
 
 
 def make_modulated_window(window_kind: str, omega0: float,
-                          sigma: float | None = None) -> WaveletSpec:
-    """Modulated localization window x -> w(x) * cos(omega0*x).
-
-    ``sinc2`` is w(x) = (sin x / x)^2 with w(0) = 1, bandlimited to (-2, 2),
-    and takes no ``sigma`` (its spec carries None);
-    ``gauss`` is w(x) = exp(-x^2 / (2 sigma^2)), with sigma 1.0 when not given.
-    :class:`WaveletSpec` checks the parameters.
-    """
-    if window_kind == "gauss" and sigma is None:
-        sigma = 1.0
-    return WaveletSpec(kind="modulated_window", window_kind=window_kind, omega0=omega0, sigma=sigma)
+                          sigma: float | None = None) -> ModulatedWindow:
+    """The :class:`ModulatedWindow`, with sigma 1.0 for ``gauss`` when not given."""
+    match window_kind, sigma:
+        case "gauss", None:
+            sigma = 1.0
+    return ModulatedWindow(window_kind, omega0, sigma)
 
 
-def _formula(spec: WaveletSpec | PiecewiseConstant, x: np.ndarray) -> np.ndarray:
-    # the per-kind formula, at every abscissa it is given
-    if isinstance(spec, PiecewiseConstant):
-        # half-open [a, b) pieces; NaN sorts after every breakpoint, so gives 0.0
-        return np.array((0.0, *spec.levels, 0.0))[np.searchsorted(spec.breakpoints, x, "right")]
-    if spec.kind == "bspline_scaling":
-        return cardinal_bspline(spec.degree + 1, x - spec.support[0])
-    if spec.kind == "spline_wavelet":
-        xs = 2.0 * (x - spec.support[0])
-        out = np.zeros_like(x)
-        for k, qk in enumerate(spec.coefficients):
-            out += qk * cardinal_bspline(spec.degree + 1, xs - k)
-        return spec.amplitude * out
-    # a modulated window, the one kind left (WaveletSpec refuses any other)
-    if spec.window_kind == "sinc2":
-        w = np.ones_like(x)
-        nz = x != 0.0
-        w[nz] = (np.sin(x[nz]) / x[nz]) ** 2
-    else:
-        w = np.exp(-(x * x) / (2.0 * spec.sigma ** 2))
-    return w * np.cos(spec.omega0 * x)
-
-
-def evaluate(spec: WaveletSpec | PiecewiseConstant, x) -> np.ndarray:
+def evaluate(spec: Generator, x) -> np.ndarray:
     """Pointwise evaluation of a generator at arbitrary abscissas.
 
     A generator with a compact ``support`` is computed at the abscissas in
@@ -273,19 +273,19 @@ def evaluate(spec: WaveletSpec | PiecewiseConstant, x) -> np.ndarray:
     a NaN abscissa gives NaN, or 0.0 for a step function.  A scalar ``x``
     gives a NumPy scalar.  Anything but a generator is refused.
     """
-    if not isinstance(spec, (WaveletSpec, PiecewiseConstant)):
+    if not isinstance(spec, Generator):
         raise InvalidParameterError(f"not a generator: {spec!r}")
     x = np.asarray(x, dtype=np.float64)
     if spec.support is None:
-        return _formula(spec, x)
+        return spec._formula(x)
     lo, hi = spec.support
     inside = ~((x < lo) | (x > hi))  # NaN counts as inside
     out = np.zeros_like(x)
-    out[inside] = _formula(spec, x[inside])
+    out[inside] = spec._formula(x[inside])
     return out[()]
 
 
-def sample(spec: WaveletSpec | PiecewiseConstant, grid: Grid) -> SampledSignal:
+def sample(spec: Generator, grid: Grid) -> SampledSignal:
     """Sample a generator on a grid through :func:`evaluate`.
 
     Samples outside a compact support are exactly +0.0, and only the

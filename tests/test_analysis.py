@@ -633,7 +633,7 @@ class TestPartition:
 
     @pytest.mark.parametrize("transformed", [False, True])
     def test_non_generator_rejected(self, grid_16, transformed):
-        with pytest.raises(InvalidParameterError, match="unsupported generator"):
+        with pytest.raises(InvalidParameterError, match="scaling-function generator, got 'box'"):
             analysis.partition_deviation("box", 10, transformed, grid_16)
 
     def test_transformed_shifts_must_be_whole_steps(self):
@@ -644,6 +644,17 @@ class TestPartition:
         got = analysis.partition_deviation(make_bspline_scaling(1), 4, True,
                                            Grid(-8.3, 0.1, 171))
         assert got.grid.count == 171
+
+    # 1/step = 5e-10 is within GRID_TOLERANCE of 0: a unit shift of 0
+    # samples divided by zero; 1/step = inf could not be rounded
+    @pytest.mark.parametrize("grid, shift", [(Grid(-1e10, 2e9, 11), "5e-10"),
+                                             (Grid(0.0, 5e-324, 3), "inf")],
+                             ids=["zero-samples", "infinite"])
+    @pytest.mark.parametrize("spec", [make_bspline_scaling(1), make_box(-0.5, 0.5)],
+                             ids=["bspline1", "box"])
+    def test_transformed_shift_below_one_sample_refused(self, spec, grid, shift):
+        with pytest.raises(InvalidParameterError, match=f"1/step = {shift} is not a positive"):
+            analysis.partition_deviation(spec, 3, True, grid)
 
     # the Haar wavelet is a step function as the box is, but with two levels
     @pytest.mark.parametrize("transformed", [False, True])

@@ -477,6 +477,14 @@ class TestAnalyze:
         assert "scaling-function generator" in err
         assert not (tmp_path / "p.json").exists()
 
+    def test_transformed_shift_below_one_sample_is_usage_error(self, tmp_path, capsys):
+        # a unit shift of 1e-299 steps rounded to 0 samples: a division by zero
+        err = assert_refused(capsys, ["analyze", "partition", "--wavelet", "bspline-scaling,20",
+                                      "--k", 3, "--transformed", "--grid", "-1e300:1e300:1e299",
+                                      "--json", tmp_path / "p.json"], 2)
+        assert "1/step = 1e-299 is not a positive integer" in err
+        assert not (tmp_path / "p.json").exists()
+
 
 class TestFigure:
     @pytest.mark.parametrize("fid,panels", [(1, 2), (2, 1), (3, 4)])

@@ -27,8 +27,8 @@ from hwl.numerics import (
 )
 from hwl.report_io import PanelSpec
 from hwl.wavelets import (
-    PiecewiseConstant, make_box, make_bspline_scaling, make_haar_wavelet, make_modulated_window,
-    make_spline_wavelet, sample,
+    ModulatedWindow, PiecewiseConstant, make_box, make_bspline_scaling, make_haar_wavelet,
+    make_modulated_window, make_spline_wavelet, sample,
 )
 
 from conftest import STEP, make_grid
@@ -220,6 +220,10 @@ REAL_PARAMETERS = {
                                      InvalidParameterError, "omega0"),
     "make_modulated_window.sigma": (lambda v: make_modulated_window("gauss", 1.0, sigma=v),
                                     InvalidParameterError, "sigma"),
+    "ModulatedWindow.omega0": (lambda v: ModulatedWindow("gauss", v, 1.0),
+                               InvalidParameterError, "omega0"),
+    "ModulatedWindow.sigma": (lambda v: ModulatedWindow("gauss", 1.0, v),
+                              InvalidParameterError, "sigma"),
     "moments.tolerance": (lambda v: moments(_SIGNAL, 2, tolerance=v),
                           InvalidParameterError, "tolerance"),
     "fit_decay.window": (lambda v: fit_decay(_TAIL, (v, 8.0)), FitWindowError, "two numbers"),

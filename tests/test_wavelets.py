@@ -1,5 +1,6 @@
 """Generators: Haar family, B-splines, spline wavelets, modulated windows."""
 
+import hashlib
 import inspect
 import re
 import warnings
@@ -13,8 +14,10 @@ from hwl.errors import InvalidParameterError
 from hwl.numerics import Grid, SampledSignal, integrate, l2_norm
 from hwl.wavelets import (
     DEGREE_CAP,
+    BSplineScaling,
+    ModulatedWindow,
     PiecewiseConstant,
-    WaveletSpec,
+    SplineWavelet,
     cardinal_bspline,
     evaluate,
     make_box,
@@ -219,8 +222,9 @@ class TestSplineWavelet:
 
 
 class TestSpecDerivesItsFields:
-    """A spline spec is its kind and degree: ``support``, ``coefficients``
-    and ``amplitude`` are computed from them, never given."""
+    """A generator is its family's parameters: a spline's ``support``,
+    ``coefficients`` and ``amplitude`` are computed from its degree, never
+    given, and no class takes another family's fields."""
 
     @pytest.mark.parametrize("make", [make_bspline_scaling, make_spline_wavelet])
     @pytest.mark.parametrize("start", [0, 3, DEGREE_CAP])
@@ -241,20 +245,58 @@ class TestSpecDerivesItsFields:
         with pytest.raises(ValueError, match=f"{name} is declared with init=False"):
             replace(spec, **{name: value})
         with pytest.raises(TypeError, match=name):
-            WaveletSpec(kind="spline_wavelet", degree=3, **{name: value})
+            SplineWavelet(3, **{name: value})
+        if name == "support":
+            with pytest.raises(ValueError, match="support is declared with init=False"):
+                replace(make_bspline_scaling(3), support=value)
 
     def test_constructor_takes_the_parameters_only(self):
-        assert list(inspect.signature(WaveletSpec).parameters) == [
-            "kind", "degree", "window_kind", "omega0", "sigma"]
-        window = make_modulated_window("gauss", 1.0)
-        assert (window.support, window.coefficients, window.amplitude) == (None, None, 1.0)
+        assert list(inspect.signature(BSplineScaling).parameters) == ["degree"]
+        assert list(inspect.signature(SplineWavelet).parameters) == ["degree"]
+        assert list(inspect.signature(ModulatedWindow).parameters) == [
+            "window_kind", "omega0", "sigma"]
+        assert make_modulated_window("gauss", 1.0).support is None
+        # a window's fields on a B-spline were accepted, and the spec
+        # compared unequal to the B-spline it evaluated as
+        with pytest.raises(TypeError, match="window_kind"):
+            BSplineScaling(3, window_kind="hann")
+        with pytest.raises(TypeError, match="omega0"):
+            SplineWavelet(3, omega0=-5.0)
+        with pytest.raises(TypeError, match="degree"):
+            ModulatedWindow("sinc2", 1.0, degree=2.5)
 
-    @pytest.mark.parametrize("kind", ["bspline_scaling", "spline_wavelet"])
+    @pytest.mark.parametrize("spec, made", [
+        (BSplineScaling(3), make_bspline_scaling(3)),
+        (SplineWavelet(3), make_spline_wavelet(3)),
+        (ModulatedWindow("gauss", 2.0, 1.0), make_modulated_window("gauss", 2.0)),
+        (ModulatedWindow("sinc2", 2.0), make_modulated_window("sinc2", 2.0)),
+    ], ids=["bspline_scaling", "spline_wavelet", "gauss", "sinc2"])
+    def test_class_is_the_made_spec(self, spec, made):
+        assert spec == made and hash(spec) == hash(made)
+        x = np.linspace(-8.0, 8.0, 129)
+        assert evaluate(spec, x).tobytes() == evaluate(made, x).tobytes()
+
+    @pytest.mark.parametrize("cls", [BSplineScaling, SplineWavelet],
+                             ids=["bspline_scaling", "spline_wavelet"])
     @pytest.mark.parametrize("degree", [None, 2.5, True, -1, DEGREE_CAP + 1],
                              ids=["missing", "fractional", "bool", "negative", "over-cap"])
-    def test_spline_kind_checks_its_degree(self, kind, degree):
+    def test_spline_kind_checks_its_degree(self, cls, degree):
         with pytest.raises(InvalidParameterError, match="degree"):
-            WaveletSpec(kind=kind, degree=degree)  # None is the default: no degree
+            cls(degree)
+
+
+def test_spline_samples_are_pinned():
+    """The bits of ``sample`` for both spline families at every degree, on
+    -40:40:2^-6.  Spline sampling is IEEE ``+ * /`` only, so the digest does
+    not depend on the platform's libm; the windows call exp, sin and cos and
+    are left out."""
+    digest = hashlib.sha256()
+    g = Grid(-40.0, 2.0 ** -6, 5121)
+    for make in (make_bspline_scaling, make_spline_wavelet):
+        for degree in range(DEGREE_CAP + 1):
+            digest.update(sample(make(degree), g).values.tobytes())
+    assert digest.hexdigest() == (
+        "882af4476851e3f2414f023bb5a3a9155d5f6dce0407e4d278962164e918afe7")
 
 
 class TestModulatedWindow:
@@ -288,27 +330,30 @@ class TestModulatedWindow:
         assert make_modulated_window("sinc2", omega0=1.0).sigma is None
         assert make_modulated_window("gauss", omega0=1.0).sigma == 1.0
 
-    @pytest.mark.parametrize("fields", [
-        dict(window_kind="gauss", omega0=np.nan, sigma=-1.0),
-        dict(window_kind="gauss", omega0=1.0, sigma=-1.0),
-        dict(window_kind="gauss", omega0=1.0, sigma=None),
-        dict(window_kind="gauss", omega0=-1.0, sigma=1.0),
-        dict(window_kind="sinc2", omega0=np.inf),
-        dict(window_kind="sinc2", omega0=1.0, sigma=1.0),
-        dict(window_kind="hann", omega0=1.0),
-        dict(window_kind=None, omega0=1.0),
+    @pytest.mark.parametrize("fields, message", [
+        (dict(window_kind="gauss", omega0=np.nan, sigma=-1.0), "omega0"),
+        (dict(window_kind="gauss", omega0=1.0, sigma=-1.0), "sigma"),
+        (dict(window_kind="gauss", omega0=1.0, sigma=None), "sigma"),
+        (dict(window_kind="gauss", omega0=-1.0, sigma=1.0), "omega0"),
+        (dict(window_kind="sinc2", omega0=np.inf), "omega0"),
+        (dict(window_kind="sinc2", omega0=1.0, sigma=1.0),
+         "sigma applies to the gauss window only, not sinc2"),
+        (dict(window_kind="hann", omega0=1.0), "unknown window kind 'hann'"),
+        (dict(window_kind=None, omega0=1.0), "unknown window kind None"),
     ], ids=["nan-omega0-negative-sigma", "negative-sigma", "gauss-without-sigma",
             "negative-omega0", "infinite-omega0", "sinc2-with-sigma", "hann", "no-window-kind"])
-    def test_spec_checks_its_fields(self, fields):
-        # the spec itself, not only make_modulated_window, refuses what would
+    def test_spec_checks_its_fields(self, fields, message):
+        # the class itself, not only make_modulated_window, refuses what would
         # evaluate to NaN or to a window other than the one named
-        with pytest.raises(InvalidParameterError):
-            evaluate(WaveletSpec(kind="modulated_window", **fields),
-                     make_grid(-8.0, 8.0).abscissas())
+        with pytest.raises(InvalidParameterError, match=message):
+            ModulatedWindow(**fields)
 
     def test_spec_refuses_an_unknown_kind(self):
-        with pytest.raises(InvalidParameterError, match="unknown generator kind 'morlet'"):
-            WaveletSpec(kind="morlet")
+        # a family is its class: there is no generator kind to name
+        with pytest.raises(InvalidParameterError, match="unknown window kind 'morlet'"):
+            ModulatedWindow("morlet", 1.0)
+        with pytest.raises(TypeError, match="kind"):
+            BSplineScaling(kind="spline_wavelet", degree=3)
 
     def test_replaced_frequency_is_checked(self):
         window = make_modulated_window("gauss", 4.0, sigma=1.5)
@@ -346,7 +391,7 @@ def _whole_array(spec, x):
             out = np.where((x >= a) & (x < b), v, out)
         return out[()]
     m = spec.degree + 1
-    if spec.kind == "bspline_scaling":
+    if isinstance(spec, BSplineScaling):
         return cardinal_bspline(m, x + m / 2.0)
     xs = 2.0 * (x + (2 * m - 1) / 2.0)
     out = np.zeros_like(x)
