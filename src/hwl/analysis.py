@@ -301,10 +301,13 @@ def theorem_certificate(psi: SampledSignal, hpsi: SampledSignal, n: int) -> Boun
         raise InvalidParameterError("psi is zero on the grid; the certificate divides by its norms")
     c1 = _empirical_constant(hpsi, n, norm_sum)
 
+    # the doubled grid's norms come before its transform and psi2 goes
+    # before the constant, so neither step's temporaries sit beside both
     psi2 = _zero_extend_double_span(psi)
+    norm_sum2 = float(sum(_norm_bundle(psi2, n).values()))
     hpsi2 = hilbert_spectral(psi2)
-    bundle2 = _norm_bundle(psi2, n)
-    c2 = _empirical_constant(hpsi2, n, float(sum(bundle2.values())))
+    del psi2
+    c2 = _empirical_constant(hpsi2, n, norm_sum2)
 
     return BoundCertificate(
         theorem="T1" if n == 0 else f"T2({n})",

@@ -76,6 +76,19 @@ def finite_float(text: str) -> float:
     return parse_numbers(text, ",", "option value", count=1)[0]
 
 
+def non_negative(kind):
+    """The argparse type ``kind`` (``int`` or :func:`finite_float`) refused
+    below 0: the type of each expectation option that a negative value makes
+    always true or always false."""
+    def parse(text: str):
+        value = kind(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+        return value
+    parse.__name__ = f"non-negative {kind.__name__}"
+    return parse
+
+
 def parse_grid(text: str) -> Grid:
     """Parse ``min:max:step``; count = floor((max-min)/step) + 1."""
     lo, hi, step = parse_numbers(text, ":", "grid min:max:step", count=3)
@@ -355,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True, help="lo:hi in |x|")
     p.add_argument("--side", default="two_sided", choices=("left", "right", "two_sided"))
     p.add_argument("--expect-exponent", type=finite_float, default=None)
-    p.add_argument("--exponent-tol", type=finite_float, default=0.1)
+    p.add_argument("--exponent-tol", type=non_negative(finite_float), default=0.1)
     p.add_argument("--min-exponent", type=finite_float, default=None)
     p.add_argument("--min-r2", type=finite_float, default=None)
     p.add_argument("--json", required=True)
@@ -366,14 +379,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument("--tolerance", type=finite_float, default=None,
                    help="absolute moment tolerance (default: truncation-aware)")
-    p.add_argument("--expect-count", type=int, default=None)
+    p.add_argument("--expect-count", type=non_negative(int), default=None)
     p.add_argument("--json", required=True)
     p.set_defaults(func=cmd_analyze, analyze=analyze_moments)
 
     p = asub.add_parser("sobolev")
     p.add_argument("--in", required=True, dest="in")
     p.add_argument("--gammas", default="0,0.75,1.5,2,2.75,3,3.25,4")
-    p.add_argument("--expect-order", type=int, default=None)
+    p.add_argument("--expect-order", type=non_negative(int), default=None)
     p.add_argument("--json", required=True)
     p.set_defaults(func=cmd_analyze, analyze=analyze_sobolev)
 
@@ -383,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=finite_float, default=None,
                    help="Gaussian width, for --window gauss only (default 1)")
     p.add_argument("--grid", required=True)
-    p.add_argument("--max-residual", type=finite_float, default=None)
+    p.add_argument("--max-residual", type=non_negative(finite_float), default=None)
     p.add_argument("--min-residual", type=finite_float, default=None)
     p.add_argument("--json", required=True)
     p.set_defaults(func=cmd_analyze, analyze=analyze_bedrosian)
@@ -400,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True, dest="in")
     p.add_argument("--hilbert", required=True)
     p.add_argument("--probe", type=finite_float, required=True)
-    p.add_argument("--rel-tol", type=finite_float, default=None)
+    p.add_argument("--rel-tol", type=non_negative(finite_float), default=None)
     p.add_argument("--json", required=True)
     p.set_defaults(func=cmd_analyze, analyze=analyze_tail_limit)
 
@@ -410,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transformed", action="store_true")
     p.add_argument("--grid", required=True)
     p.add_argument("--central-halfwidth", type=finite_float, default=2.0)
-    p.add_argument("--max-central", type=finite_float, default=None)
+    p.add_argument("--max-central", type=non_negative(finite_float), default=None)
     p.add_argument("--min-central", type=finite_float, default=None)
     p.add_argument("--out-csv", default=None)
     p.add_argument("--json", required=True)

@@ -90,6 +90,14 @@ def hilbert_spectral(f: SampledSignal, *, pad_factor: int = PAD_FACTOR) -> Sampl
     odd.  Padding pushes the kernel's periodic images away from the grid."""
     n = f.grid.count
     total = fft_length(n, pad_factor)
+    # the kernel is built inside the argument list, so the convolution
+    # holds its only reference and frees it once it is padded
+    return SampledSignal(f.grid, odd_kernel_sum(f.values, _spectral_kernel(n, total)))
+
+
+def _spectral_kernel(n: int, total: int) -> np.ndarray:
+    """The exact discrete kernel of -j*sign(w) at period ``total`` for the
+    offsets r = 1..n-1, reduced to (-total/2, total/2]."""
     # one float buffer holds the offsets r, then t = pi r / N, then the kernel
     kernel = np.arange(1, n, dtype=np.float64)
     wrapped = 2 * (n - 1) > total  # pad 1: offsets past N/2 wrap to their periodic image
@@ -113,7 +121,7 @@ def hilbert_spectral(f: SampledSignal, *, pad_factor: int = PAD_FACTOR) -> Sampl
         np.cos(kernel, out=kernel)
         kernel -= sign
         kernel /= sin
-    return SampledSignal(f.grid, odd_kernel_sum(f.values, kernel))
+    return kernel
 
 
 def hilbert_box_closed_form(p: PiecewiseConstant, x) -> float | np.ndarray:

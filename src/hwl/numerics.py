@@ -231,8 +231,14 @@ def dft(f: SampledSignal) -> Spectrum:
     g = f.grid
     w = _frequencies(g.count, g.step)
     raw = np.fft.fft(f.values)
-    values = g.step * np.exp(-1j * w * g.x_min) * raw
-    return Spectrum(frequencies=w, values=values)
+    # step * exp(-1j*w*x_min) * raw, the same operations in the same order,
+    # built in one complex buffer and then multiplied into raw
+    phase = np.multiply(-1j, w)
+    phase *= g.x_min
+    np.exp(phase, out=phase)
+    np.multiply(g.step, phase, out=phase)
+    np.multiply(phase, raw, out=raw)
+    return Spectrum(frequencies=w, values=raw)
 
 
 def _smooth_length(m: int) -> int:
@@ -265,9 +271,13 @@ def odd_kernel_sum(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     k = np.zeros(size)
     np.negative(kernel[:hi][::-1], out=k[:hi])
     k[hi + 1:n + s - 1] = kernel[:n - 1 - lo]
-    # each size-long buffer is dropped once the next one is made: the
-    # kernel's samples, its spectrum, the product
+    # a caller that builds ``kernel`` inside the call's argument list holds
+    # no reference to it, so it is freed here.  From now on at most two
+    # size-long buffers are live at once: the padded kernel and its
+    # spectrum, the spectrum and the signal's (multiplied into the kernel's
+    # buffer), then the product and its inverse transform
+    del kernel
     spectrum = np.fft.rfft(k)
     del k
-    spectrum = np.fft.rfft(values[lo:hi + 1], size) * spectrum
+    np.multiply(np.fft.rfft(values[lo:hi + 1], size), spectrum, out=spectrum)
     return np.fft.irfft(spectrum, size)[s - 1:s - 1 + n]

@@ -36,6 +36,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -243,7 +244,7 @@ def _parse_rows(body: list[str]) -> tuple[np.ndarray, np.ndarray]:
             x, v = float(parts[0]), float(parts[1])
         except ValueError:
             raise ParseError(f"unparseable number in {line!r}", row=row) from None
-        if not (np.isfinite(x) and np.isfinite(v)):
+        if not (math.isfinite(x) and math.isfinite(v)):
             raise ParseError("non-finite value", row=row)
         xs.append(x)
         vs.append(v)

@@ -258,6 +258,30 @@ class TestCertificates:
         with pytest.raises(InvalidParameterError, match="psi is zero"):
             analysis.theorem_certificate(z, z, 2)
 
+    @pytest.mark.parametrize("spec, n", [
+        (make_spline_wavelet(3), 4), (make_spline_wavelet(2), 0), (make_bspline_scaling(3), 1),
+        (make_haar_wavelet(), 1),
+    ], ids=["cubic-4", "quadratic-0", "scaling-1", "haar-1"])
+    def test_fields_are_those_of_the_old_order(self, spec, n):
+        # the doubled grid's norms, taken before its transform, and psi2
+        # dropped before the constant give every field's bits unchanged
+        psi = sample(spec, make_grid(-32.0, 32.0, 2.0 ** -6))
+        hpsi = hilbert_spectral(psi)
+        cert = analysis.theorem_certificate(psi, hpsi, n)
+        bundle = analysis._norm_bundle(psi, n)
+        c1 = analysis._empirical_constant(hpsi, n, float(sum(bundle.values())))
+        psi2 = analysis._zero_extend_double_span(psi)
+        hpsi2 = hilbert_spectral(psi2)
+        bundle2 = analysis._norm_bundle(psi2, n)
+        c2 = analysis._empirical_constant(hpsi2, n, float(sum(bundle2.values())))
+        assert cert == analysis.BoundCertificate(
+            theorem="T1" if n == 0 else f"T2({n})", norm_bundle=bundle,
+            empirical_constant=c1, empirical_constant_doubled=c2,
+            stable=bool(abs(c2 - c1) < 0.05 * c1))
+        assert _bits([*cert.norm_bundle.values(), cert.empirical_constant,
+                      cert.empirical_constant_doubled]) \
+            .tobytes() == _bits([*bundle.values(), c1, c2]).tobytes()
+
 
 def _weighted_reference(f, power):
     """x^power * f as one whole-grid expression: the reference for the
@@ -386,12 +410,13 @@ class TestExactPowers:
 
     def test_certificate_memory(self):
         # the 2^18+1-sample cubic-wavelet pair of the CLI pipeline; the
-        # certificate peaks at 20.0 MiB, set by the doubled grid's transform,
-        # since the constant is computed in one abscissa buffer: 2 MiB of margin
+        # certificate peaks at 16.0 MiB, set by the doubled grid's transform,
+        # since the constant is computed in one abscissa buffer: 2 MiB of
+        # margin.  Norms taken beside the doubled transform peaked at 20.0
         grid = Grid(-128.0, 2.0 ** -10, 2 ** 18 + 1)
         psi = sample(make_spline_wavelet(3), grid)
         hpsi = hilbert_spectral(psi)
-        assert traced_peak_mib(lambda: analysis.theorem_certificate(psi, hpsi, 4)) < 22.0
+        assert traced_peak_mib(lambda: analysis.theorem_certificate(psi, hpsi, 4)) < 18.0
 
 
 class TestTailLimit:

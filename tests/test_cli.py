@@ -439,6 +439,29 @@ class TestAnalyze:
         assert "tolerance" in err
         assert not (tmp_path / "m.json").exists()
 
+    # below 0 each check would be false (or, for --expect-count, true)
+    # whatever the result; 0 itself can be met
+    @pytest.mark.parametrize("argv", [
+        ["decay", "--in", "SIGNAL", "--window", "6:24", "--expect-exponent", 4,
+         "--exponent-tol", -1],
+        ["tail-limit", "--in", "SIGNAL", "--hilbert", "SIGNAL", "--probe", 8, "--rel-tol", -0.5],
+        ["partition", "--wavelet", "bspline-scaling,1", "--k", 4, "--grid", "-8:8:0.0625",
+         "--max-central", -1],
+        ["bedrosian", "--window", "sinc2", "--omega0", 3, "--grid", "-8:8:0.0625",
+         "--max-residual", -1],
+        ["sobolev", "--in", "SIGNAL", "--expect-order", -1],
+        ["moments", "--in", "SIGNAL", "--max-order", 2, "--expect-count", -1],
+    ], ids=lambda argv: argv[-2])
+    def test_expectation_no_result_decides_is_usage_error(self, tmp_path, capsys,
+                                                          small_signal, argv):
+        argv = ["analyze", *[small_signal if a == "SIGNAL" else a for a in argv]]
+        err = assert_refused(capsys, [*argv, "--json", tmp_path / "r.json"], 2)
+        assert err.endswith(f"argument {argv[-2]}: must be >= 0, got '{argv[-1]}'\n"), err
+        assert not (tmp_path / "r.json").exists()
+        args = cli._build_parser().parse_args(
+            cli._absorb_dash_values([str(a) for a in argv[:-1]] + ["0", "--json", "r"]))
+        assert getattr(args, argv[-2][2:].replace("-", "_")) == 0
+
     def test_signals_on_different_grids_are_data_error(self, tmp_path, capsys):
         narrow, wide = tmp_path / "narrow.csv", tmp_path / "wide.csv"
         for path, grid in ((narrow, "-16:16:0.00390625"), (wide, "-32:32:0.00390625")):
@@ -552,22 +575,29 @@ _OUTPUT_FLAGS = ("--out", "--json", "--out-csv")
 
 def test_negative_values_parse_as_separate_tokens():
     """A negative number or grid given after its option as its own token is
-    that option's value, for every float option and for --grid/--window."""
+    that option's value, for every float option and for --grid/--window; a
+    non-negative float option refuses it as its value."""
     checked = 0
     for words, parser in _LEAVES:
         for action in parser._actions:
             flag = action.option_strings[0]
-            if action.type is not cli.finite_float and (
+            name = getattr(action.type, "__name__", "")
+            if not name.endswith("finite_float") and (
                     flag not in ("--grid", "--window") or action.choices):
                 continue
             # argparse alone takes "-2.5" for a value, but not "-2.5e0" or a grid
-            value = "-2.5e0" if action.type is cli.finite_float else "-8:-0.5"
+            value = "-2.5e0" if name else "-8:-0.5"
             argv = [*words, flag, value]
             for other in parser._actions:
                 if other.required and other is not action:
                     argv += [other.option_strings[0], str(next(iter(other.choices or [1])))]
-            args = cli._build_parser().parse_args(cli._absorb_dash_values(argv))
-            assert getattr(args, action.dest) == (-2.5 if value == "-2.5e0" else value), argv
+            argv = cli._absorb_dash_values(argv)
+            if name.startswith("non-negative"):
+                with pytest.raises(cli.UsageError, match=f"{flag}: must be >= 0, got '-2.5e0'"):
+                    cli._build_parser().parse_args(argv)
+            else:
+                args = cli._build_parser().parse_args(argv)
+                assert getattr(args, action.dest) == (-2.5 if name else value), argv
             checked += 1
     assert checked >= 16
 
@@ -656,7 +686,7 @@ def _option_value(action, inputs, outputs):
         return _mostly(st.sampled_from([str(c) for c in action.choices]))
     if flag in _TEXT_OPTIONS:
         return _TEXT_OPTIONS[flag]
-    return _INT if action.type is int else _FLOAT
+    return _INT if getattr(action.type, "__name__", "").endswith("int") else _FLOAT
 
 
 def _refuse_constant(token):

@@ -107,6 +107,25 @@ def test_no_unread_private_names(path):
     assert not unread, f"{path.name} defines private names nothing reads: {sorted(unread)}"
 
 
+def _is_np_fft_call(node) -> bool:
+    """``node`` is a call of ``np.fft.NAME`` (or ``numpy.fft.NAME``)."""
+    func = node.func
+    return (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "fft" and isinstance(func.value.value, ast.Name)
+            and func.value.value.id in ("np", "numpy"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_fft_writes_into_a_given_buffer(path):
+    """No ``np.fft`` call in ``hwl`` passes ``out``: NumPy's FFTs take it
+    from 2.0 on, and ``pyproject.toml`` declares ``numpy>=1.24``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _is_np_fft_call(node)
+             and any(k.arg == "out" for k in node.keywords)]
+    assert not calls, f"{path.name} passes out= to np.fft on lines {calls}"
+
+
 # Records the library fills in: the results of the analyses.  The generator
 # classes are not records: ``ModulatedWindow``'s real parameters have rows in
 # REAL_PARAMETERS like any other.

@@ -301,9 +301,10 @@ class TestSpectral:
 
     def test_doubled_grid_peak_memory(self):
         # the certificate's span-doubled cubic wavelet (2^19+1 samples, about
-        # 4 MiB a buffer); a chain of whole-array temporaries takes 24 MiB
+        # 4 MiB a buffer); a chain of whole-array temporaries takes 24 MiB,
+        # and a kernel the caller still holds during the FFTs 12.4 MiB
         f = sample(make_spline_wavelet(3), Grid(-256.0, 2.0 ** -10, 2 ** 19 + 1))
-        assert traced_peak_mib(lambda: hilbert_spectral(f)) < 16.0
+        assert traced_peak_mib(lambda: hilbert_spectral(f)) < 10.0
 
     def test_huge_pad_holds_no_buffer(self):
         # N = fft_length(count, 10**18) is far beyond memory; the engine only

@@ -31,7 +31,7 @@ from hwl.wavelets import (
     make_modulated_window, make_spline_wavelet, sample,
 )
 
-from conftest import STEP, make_grid
+from conftest import STEP, make_grid, traced_peak_mib
 
 
 class TestGrid:
@@ -412,6 +412,26 @@ class TestDft:
     def test_spectrum_shape_validation(self):
         with pytest.raises(ValueError):
             Spectrum(frequencies=np.array([0.0, 1.0]), values=np.array([1.0 + 0j]))
+
+    @pytest.mark.parametrize("x_min, count", [
+        (-9.3, 609), (-9.3, 610), (0.0, 609), (-64.0, 2 ** 17 + 1), (3.0, 2 ** 17),
+    ], ids=["odd", "even", "origin", "2^17+1", "2^17"])
+    def test_values_are_the_whole_array_expression(self, x_min, count):
+        # the buffered phase and step give the bytes of the expression they replace
+        g = Grid(x_min, 2.0 ** -9, count)
+        f = SampledSignal(g, np.random.default_rng(count).normal(size=count))
+        s = dft(f)
+        w = s.frequencies
+        want = g.step * np.exp(-1j * w * g.x_min) * np.fft.fft(f.values)
+        assert s.values.tobytes() == want.tobytes()
+
+    def test_peak_memory(self):
+        # the coarse Sobolev grid's size doubled (2^18+1 samples, 4 MiB a
+        # complex buffer): the phase is one buffer, multiplied into the
+        # transform's; a chain of whole-array temporaries peaks at 14.0 MiB
+        g = Grid(-128.0, 2.0 ** -10, 2 ** 18 + 1)
+        f = sample(make_spline_wavelet(3), g)
+        assert traced_peak_mib(lambda: dft(f)) < 12.0
 
 
 @st.composite
