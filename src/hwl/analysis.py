@@ -340,6 +340,7 @@ def _sobolev_norms(f: SampledSignal, gammas) -> list[float]:
     dw = 2.0 * np.pi / (f.grid.count * f.grid.step)
     weight_base = 1.0 + s.frequencies ** 2
     power = np.abs(s.values) ** 2
+    del s  # the complex spectrum, once its power and weights are taken
     return [float(np.sqrt(np.sum(weight_base ** g * power) * dw / (2.0 * np.pi)))
             for g in gammas]
 
@@ -368,9 +369,8 @@ def smoothness_profile(f: SampledSignal, gamma_grid: Iterable[float]) -> Sobolev
         raise InvalidParameterError(f"gamma_grid needs one or more numbers, got {gamma_grid!r}")
     if f.grid.count < 3:
         raise GridTooNarrowError("the 2x-coarsening probe needs at least 3 samples")
-    coarse = _coarsen(f)
     norms = _sobolev_norms(f, gammas)
-    norms_c = _sobolev_norms(coarse, gammas)
+    norms_c = _sobolev_norms(_coarsen(f), gammas)  # built only once the fine arrays are freed
     stable = [abs(nf - nc) < 0.10 * nf if nf > 0 else True
               for nf, nc in zip(norms, norms_c)]
     # the largest certified n; a signal with no stable gamma above 1/2

@@ -26,7 +26,6 @@ import hashlib
 import math
 import re
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from .hilbert import PAD_FACTOR, fft_length, hilbert_pv, hilbert_spectral
 from . import analysis
 from .report_io import (
     PanelSpec,
+    _chunks,
     read_signal_csv,
     render_figure,
     write_report_json,
@@ -76,16 +76,18 @@ def finite_float(text: str) -> float:
     return parse_numbers(text, ",", "option value", count=1)[0]
 
 
-def non_negative(kind):
+def non_negative(kind, *, strict=False):
     """The argparse type ``kind`` (``int`` or :func:`finite_float`) refused
     below 0: the type of each expectation option that a negative value makes
-    always true or always false."""
+    always true or always false.  With ``strict`` it is named ``positive``
+    and refuses 0 too: the type of each strict ``<`` bound on a quantity
+    that is never negative, which 0 makes always false."""
     def parse(text: str):
         value = kind(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+        if value < 0 or (strict and value == 0):
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} 0, got {text!r}")
         return value
-    parse.__name__ = f"non-negative {kind.__name__}"
+    parse.__name__ = f"{'positive' if strict else 'non-negative'} {kind.__name__}"
     return parse
 
 
@@ -135,7 +137,12 @@ def parse_wavelet(text: str):
 
 
 def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The SHA-256 of the file at ``path``, read a chunk at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb", buffering=0) as file:
+        for chunk in _chunks(file):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _read(*paths):
@@ -370,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-exponent", type=finite_float, default=None)
     p.add_argument("--exponent-tol", type=non_negative(finite_float), default=0.1)
     p.add_argument("--min-exponent", type=finite_float, default=None)
-    p.add_argument("--min-r2", type=finite_float, default=None)
+    p.add_argument("--min-r2", type=non_negative(finite_float), default=None)
     p.add_argument("--json", required=True)
     p.set_defaults(func=cmd_analyze, analyze=analyze_decay)
 
@@ -396,8 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=finite_float, default=None,
                    help="Gaussian width, for --window gauss only (default 1)")
     p.add_argument("--grid", required=True)
-    p.add_argument("--max-residual", type=non_negative(finite_float), default=None)
-    p.add_argument("--min-residual", type=finite_float, default=None)
+    p.add_argument("--max-residual", type=non_negative(finite_float, strict=True), default=None)
+    p.add_argument("--min-residual", type=non_negative(finite_float), default=None)
     p.add_argument("--json", required=True)
     p.set_defaults(func=cmd_analyze, analyze=analyze_bedrosian)
 
@@ -423,8 +430,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transformed", action="store_true")
     p.add_argument("--grid", required=True)
     p.add_argument("--central-halfwidth", type=finite_float, default=2.0)
-    p.add_argument("--max-central", type=non_negative(finite_float), default=None)
-    p.add_argument("--min-central", type=finite_float, default=None)
+    p.add_argument("--max-central", type=non_negative(finite_float, strict=True), default=None)
+    p.add_argument("--min-central", type=non_negative(finite_float), default=None)
     p.add_argument("--out-csv", default=None)
     p.add_argument("--json", required=True)
     p.set_defaults(func=cmd_analyze, analyze=analyze_partition)

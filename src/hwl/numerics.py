@@ -229,8 +229,8 @@ def dft(f: SampledSignal) -> Spectrum:
     sum|f_m|^2 * step = sum|values[k]|^2 * dw/(2*pi), dw = 2*pi/(N*step).
     """
     g = f.grid
+    raw = np.fft.fft(f.values)  # first, so the FFT's scratch is freed before w exists
     w = _frequencies(g.count, g.step)
-    raw = np.fft.fft(f.values)
     # step * exp(-1j*w*x_min) * raw, the same operations in the same order,
     # built in one complex buffer and then multiplied into raw
     phase = np.multiply(-1j, w)

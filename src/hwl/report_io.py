@@ -4,7 +4,7 @@ CSV and the JSON report schema are the package's stable external contracts:
 
 * signal CSV: header line ``x,value``, one row per sample, 17-significant-
   digit decimal floats (lossless for binary64), uniform abscissa spacing
-  validated to 1e-9 relative on read.  The file is ASCII: the reader reads
+  validated to 1e-9 relative on read.  The file is ASCII: a parse reads
   its bytes once, refuses any non-ASCII byte, and parses those same bytes
   on every path, so no result depends on the locale.  The writer formats a
   large file in one process per usable CPU (:func:`write_signal_csv`), with
@@ -13,7 +13,8 @@ CSV and the JSON report schema are the package's stable external contracts:
   saves the rows it formatted in a binary sidecar ``OUT.rows``, keyed by
   the SHA-256 of the CSV bytes; a read whose CSV bytes match that digest
   loads the rows from it instead of parsing, with the same result, since
-  ``%.17g`` text parses back to the same bits;
+  ``%.17g`` text parses back to the same bits.  That check streams the CSV
+  through one reused buffer and holds no copy of it;
 * report JSON: one strict-JSON object per report (no ``NaN`` or
   ``Infinity``), serialized with sorted keys so identical inputs give
   identical bytes.  Every report carries the envelope ``kind``,
@@ -69,8 +70,9 @@ _WRITE_BLOCK = 1 << 11
 # usable CPU: forking, exiting and reaping a child cost a few ms, and on two
 # otherwise idle cores two processes wrote 2^14+1 rows in 14 ms, one in 17 ms
 _PROCESS_ROWS = 4 * _WRITE_BLOCK
-# a child's rows are copied into the CSV this many bytes at a time, so the
-# writer holds no more of them at once
+# files are read this many bytes at a time into one reused buffer (_chunks):
+# a child's rows as they are copied into the CSV, a CSV as its sidecar is
+# checked, and a file as cli._digest hashes it; no more is held at once
 _COPY_CHUNK = 1 << 20
 _ROW_START = re.compile(rb"[^\r\n]")  # the first byte of a row after the header
 _NON_ASCII = re.compile(rb"[\x80-\xff]")
@@ -159,21 +161,42 @@ def _exited_cleanly(pid: int) -> bool:
         return False
 
 
-def _chunks(part):
-    """The bytes of the file ``part`` from its start, at most 1 MiB at a time."""
-    part.seek(0)
-    return iter(lambda: part.read(_COPY_CHUNK), b"")
+def _chunks(file):
+    """The bytes of the binary ``file`` from where it stands, read into one
+    reused buffer of :data:`_COPY_CHUNK` bytes: each chunk is a view of that
+    buffer, valid until the next chunk is read."""
+    buffer = memoryview(bytearray(_COPY_CHUNK))
+    while size := file.readinto(buffer):
+        yield buffer[:size]
+
+
+def _newlines(chunks, digest=None) -> int:
+    """The number of line feeds (byte 10) in ``chunks``, each at most
+    :data:`_COPY_CHUNK` bytes, compared by NumPy into one reused flag array;
+    each chunk is also fed to ``digest``, when one is given."""
+    flags = np.empty(_COPY_CHUNK, dtype=bool)
+    count = 0
+    for chunk in chunks:
+        if digest is not None:
+            digest.update(chunk)
+        found = np.equal(np.frombuffer(chunk, dtype=np.uint8), 10, out=flags[:len(chunk)])
+        count += int(np.count_nonzero(found))
+    return count
 
 
 def _reap(workers: dict, start: int, rows: int):
     """Wait for the child that formats the range at ``start`` and forget it:
-    its file if the child exited 0 and left exactly ``rows`` lines, else None."""
+    its file, rewound, if the child exited 0 and left exactly ``rows``
+    lines, else None."""
     part, pid = workers[start]
     exited = _exited_cleanly(pid)
     del workers[start]
-    if exited and sum(chunk.count(b"\n") for chunk in _chunks(part)) == rows:
-        return part
-    return None
+    if not exited:
+        return None
+    part.seek(0)
+    lines = _newlines(_chunks(part))
+    part.seek(0)
+    return part if lines == rows else None
 
 
 def write_signal_csv(f: SampledSignal, path) -> None:
@@ -296,37 +319,46 @@ def _parse_signal(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     return _parse_rows_fast(data) or _read_rows(data.decode("ascii"))
 
 
-def _signal_rows(path) -> tuple[np.ndarray, np.ndarray]:
-    """Abscissas and values of the signal CSV at ``path``: loaded from its
-    ``.rows`` sidecar when that carries the SHA-256 of the CSV bytes just
-    read, one (x, value) pair per data row, all finite; parsed from those
-    bytes otherwise.  Without a sidecar nothing is hashed."""
-    data = Path(path).read_bytes()
+def _sidecar_rows(path) -> np.ndarray | None:
+    """The ``(count, 2)`` rows of the ``.rows`` sidecar of the signal CSV at
+    ``path``, when the sidecar carries the SHA-256 of the CSV's bytes, one
+    (x, value) pair per data row, all finite; None otherwise.  The CSV is
+    read once, through :func:`_chunks`, and never held whole."""
     try:
         side = open(f"{path}.rows", "rb")
     except OSError:  # none, a directory, unreadable
-        return _parse_signal(data)
-    with side:
+        return None
+    with side, open(path, "rb", buffering=0) as csv:
         header = side.read(len(_ROWS_MAGIC) + 32)
         payload = os.fstat(side.fileno()).st_size - side.tell()
+        digest = hashlib.sha256()
         # the writer ends each line with \n: two floats per data row
-        if (header == _ROWS_MAGIC + hashlib.sha256(data).digest()
-                and payload == 16 * (data.count(b"\n") - 1)):
-            del data  # so the CSV bytes and the rows are never held together
-            count = payload // 8
-            rows = np.fromfile(side, dtype="<f8", count=count)
-            if rows.size == count and np.isfinite(rows).all():
-                rows = rows.reshape(-1, 2)
-                return rows[:, 0], rows[:, 1]
-            data = Path(path).read_bytes()  # a payload edited under its digest
-    return _parse_signal(data)
+        if (16 * (_newlines(_chunks(csv), digest) - 1) != payload
+                or header != _ROWS_MAGIC + digest.digest()):
+            return None
+        count = payload // 8
+        rows = np.fromfile(side, dtype="<f8", count=count)
+    if rows.size == count and np.isfinite(rows).all():
+        return rows.reshape(-1, 2)
+    return None  # a payload edited under its digest
+
+
+def _signal_rows(path) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissas and values of the signal CSV at ``path``: its
+    :func:`_sidecar_rows` when the sidecar matches it, else parsed from its
+    bytes, read whole.  Without a sidecar nothing is hashed."""
+    rows = _sidecar_rows(path)
+    if rows is None:
+        return _parse_signal(Path(path).read_bytes())
+    return rows[:, 0], rows[:, 1]
 
 
 def read_signal_csv(path) -> SampledSignal:
     """Read a signal CSV, from its ``.rows`` sidecar when that matches the
     CSV's bytes; malformed content raises ParseError with the row."""
-    # only _signal_rows holds the bytes, so they are freed before the
-    # spacing check allocates
+    # the sidecar check streams the CSV, and only a parse inside
+    # _signal_rows holds its bytes, so they are freed before the spacing
+    # check allocates
     x_arr, vs = _signal_rows(path)
     # finite abscissas may span past the float range, which the grid
     # refuses, or step past it, which reads as an infinite deviation

@@ -439,28 +439,37 @@ class TestAnalyze:
         assert "tolerance" in err
         assert not (tmp_path / "m.json").exists()
 
-    # below 0 each check would be false (or, for --expect-count, true)
-    # whatever the result; 0 itself can be met
+    # below 0 each check would be false (or, for --expect-count and the
+    # --min-* bounds, true) whatever the result, and so would the strict
+    # --max-* bounds at 0; 0 itself can be met, and for --max-* any positive value
     @pytest.mark.parametrize("argv", [
         ["decay", "--in", "SIGNAL", "--window", "6:24", "--expect-exponent", 4,
          "--exponent-tol", -1],
         ["tail-limit", "--in", "SIGNAL", "--hilbert", "SIGNAL", "--probe", 8, "--rel-tol", -0.5],
         ["partition", "--wavelet", "bspline-scaling,1", "--k", 4, "--grid", "-8:8:0.0625",
-         "--max-central", -1],
+         "--max-central", 0],
         ["bedrosian", "--window", "sinc2", "--omega0", 3, "--grid", "-8:8:0.0625",
-         "--max-residual", -1],
+         "--max-residual", 0],
         ["sobolev", "--in", "SIGNAL", "--expect-order", -1],
         ["moments", "--in", "SIGNAL", "--max-order", 2, "--expect-count", -1],
+        ["partition", "--wavelet", "bspline-scaling,1", "--k", 4, "--grid", "-8:8:0.0625",
+         "--min-central", -1e-300],
+        ["bedrosian", "--window", "sinc2", "--omega0", 3, "--grid", "-8:8:0.0625",
+         "--min-residual", -1],
+        ["decay", "--in", "SIGNAL", "--window", "6:24", "--min-r2", -0.5],
     ], ids=lambda argv: argv[-2])
     def test_expectation_no_result_decides_is_usage_error(self, tmp_path, capsys,
                                                           small_signal, argv):
         argv = ["analyze", *[small_signal if a == "SIGNAL" else a for a in argv]]
+        strict = argv[-2] in ("--max-central", "--max-residual")
         err = assert_refused(capsys, [*argv, "--json", tmp_path / "r.json"], 2)
-        assert err.endswith(f"argument {argv[-2]}: must be >= 0, got '{argv[-1]}'\n"), err
+        sign = ">" if strict else ">="
+        assert err.endswith(f"argument {argv[-2]}: must be {sign} 0, got '{argv[-1]}'\n"), err
         assert not (tmp_path / "r.json").exists()
+        accepted = "1e-300" if strict else "0"
         args = cli._build_parser().parse_args(
-            cli._absorb_dash_values([str(a) for a in argv[:-1]] + ["0", "--json", "r"]))
-        assert getattr(args, argv[-2][2:].replace("-", "_")) == 0
+            cli._absorb_dash_values([str(a) for a in argv[:-1]] + [accepted, "--json", "r"]))
+        assert getattr(args, argv[-2][2:].replace("-", "_")) == float(accepted)
 
     def test_signals_on_different_grids_are_data_error(self, tmp_path, capsys):
         narrow, wide = tmp_path / "narrow.csv", tmp_path / "wide.csv"
@@ -576,7 +585,7 @@ _OUTPUT_FLAGS = ("--out", "--json", "--out-csv")
 def test_negative_values_parse_as_separate_tokens():
     """A negative number or grid given after its option as its own token is
     that option's value, for every float option and for --grid/--window; a
-    non-negative float option refuses it as its value."""
+    non-negative or positive float option refuses it as its value."""
     checked = 0
     for words, parser in _LEAVES:
         for action in parser._actions:
@@ -592,8 +601,8 @@ def test_negative_values_parse_as_separate_tokens():
                 if other.required and other is not action:
                     argv += [other.option_strings[0], str(next(iter(other.choices or [1])))]
             argv = cli._absorb_dash_values(argv)
-            if name.startswith("non-negative"):
-                with pytest.raises(cli.UsageError, match=f"{flag}: must be >= 0, got '-2.5e0'"):
+            if name.startswith(("non-negative", "positive")):
+                with pytest.raises(cli.UsageError, match=f"{flag}: must be >=? 0, got '-2.5e0'"):
                     cli._build_parser().parse_args(argv)
             else:
                 args = cli._build_parser().parse_args(argv)

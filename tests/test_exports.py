@@ -5,6 +5,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,21 @@ def test_no_unread_private_names(path):
     unread = {name for name in defined - read - UNREAD_PRIVATE.get(path.name, set())
               if name.startswith("_") and not name.startswith("__")}
     assert not unread, f"{path.name} defines private names nothing reads: {sorted(unread)}"
+
+
+# the ``requires-python`` floor of ``pyproject.toml``, as (major, minor)
+REQUIRES_PYTHON = tuple(int(n) for n in re.search(
+    r'^requires-python = ">=(\d+)\.(\d+)"$',
+    (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8"),
+    re.MULTILINE).groups())
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_sources_parse_at_the_python_floor(path):
+    """Every module of ``hwl`` is in the grammar of the oldest Python that
+    ``pyproject.toml`` admits (3.10 today), so syntax of a newer Python
+    (such as ``except*``) fails here, not at a user's import."""
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=REQUIRES_PYTHON)
 
 
 def _is_np_fft_call(node) -> bool:

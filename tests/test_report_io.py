@@ -455,6 +455,62 @@ class TestRowsSidecar:
         assert parses == [p.read_bytes()]
 
 
+class TestStreamedCheck:
+    """The sidecar check streams the CSV through one reused buffer of
+    ``_COPY_CHUNK`` bytes, hashing and counting rows across chunk
+    boundaries, and ``cli._digest`` hashes through the same reads."""
+
+    COUNT = 80_000  # rows enough for 4 chunks, the last holding a whole appended row
+
+    @pytest.fixture
+    def csv(self, tmp_path):
+        p = tmp_path / "sig.csv"
+        write_signal_csv(one_shot_signal(self.COUNT), p)
+        assert p.stat().st_size > 2 * report_io._COPY_CHUNK
+        return p
+
+    def test_a_row_appended_under_a_rewritten_digest_falls_back_to_the_parse(
+            self, tmp_path, monkeypatch, csv):
+        x = Grid(-1.25, 1.0 / 3.0, self.COUNT + 1).abscissas()[-1]
+        row = f"{x:.17g},0.5\n".encode()
+        data = csv.read_bytes() + row
+        chunk = report_io._COPY_CHUNK
+        assert (len(data) - len(row)) // chunk == (len(data) - 1) // chunk  # the last chunk
+        csv.write_bytes(data)
+        side = Path(f"{csv}.rows")
+        magic = len(b"hwl-rows-1\n")
+        old = side.read_bytes()
+        side.write_bytes(old[:magic] + hashlib.sha256(data).digest() + old[magic + 32:])
+        want = _parsed_outcome(csv, tmp_path)
+        assert len(want[1]) == 8 * (self.COUNT + 1)
+        parses = []
+        parse = report_io._parse_signal
+        monkeypatch.setattr(report_io, "_parse_signal", lambda data: parses.append(data)
+                            or parse(data))
+        assert _outcome(csv) == want
+        assert parses == [data]
+
+    def test_an_untouched_file_loads_the_sidecar(self, tmp_path, monkeypatch, csv):
+        want = _parsed_outcome(csv, tmp_path)
+        monkeypatch.setattr(report_io, "_parse_signal", lambda data: pytest.fail("parsed"))
+        assert _outcome(csv) == want
+
+    def test_an_empty_csv_beside_a_sidecar_is_the_parse_error(self, csv):
+        csv.write_bytes(b"")
+        assert Path(f"{csv}.rows").is_file()
+        with pytest.raises(ParseError, match="^empty file$"):
+            read_signal_csv(csv)
+
+    # a file of chunks * _COPY_CHUNK + extra bytes
+    @pytest.mark.parametrize("chunks, extra", [(0, 0), (1, -1), (1, 0), (1, 1), (3, 5)],
+                             ids=["empty", "chunk-1", "chunk", "chunk+1", "3-chunks+5"])
+    def test_digest_is_the_sha256_of_the_whole_file(self, tmp_path, chunks, extra):
+        size = chunks * report_io._COPY_CHUNK + extra
+        p = tmp_path / "blob"
+        p.write_bytes(rng(size).integers(0, 256, size, dtype=np.uint8).tobytes())
+        assert cli._digest(p) == hashlib.sha256(p.read_bytes()).hexdigest()
+
+
 @settings(max_examples=300, deadline=None)
 @given(csv=_CSV)
 # three fields then one: as many fields as two good rows
@@ -563,9 +619,10 @@ def test_files_do_not_depend_on_the_locale(tmp_path):
 
 
 class TestSignalCsvMemory:
-    """Peak traced allocation of the CSV writer and reader on the 2^18+1-sample
-    spectral transform of the cubic wavelet, a file of about 9 MiB; a list of
-    every row or line, one str each, would take over 40 MiB."""
+    """Peak traced allocation of the CSV writer and reader, ``cli._digest``
+    and the Sobolev profile on the 2^18+1-sample spectral transform of the
+    cubic wavelet, a file of about 9 MiB; a list of every row or line, one
+    str each, would take over 40 MiB."""
 
     @pytest.fixture(scope="class")
     def transform(self):
@@ -579,7 +636,7 @@ class TestSignalCsvMemory:
         assert report_io._row_ranges(transform.grid.count)[1] < transform.grid.count
         assert traced_peak_mib(lambda: write_signal_csv(transform, tmp_path / "h.csv")) < 8.0
 
-    # through the sidecar, which the reader loads once the CSV bytes are freed
+    # through the sidecar (test_reader_holds_less_than_the_file is tighter)
     def test_reader_holds_the_bytes_once(self, tmp_path, transform):
         p = tmp_path / "h.csv"
         write_signal_csv(transform, p)
@@ -591,6 +648,23 @@ class TestSignalCsvMemory:
         write_signal_csv(transform, p)
         _without_sidecar(p)
         assert traced_peak_mib(lambda: read_signal_csv(p)) < 16.0
+
+    # the sidecar check streams the CSV and never holds a copy of it
+    def test_reader_holds_less_than_the_file(self, tmp_path, transform):
+        p = tmp_path / "h.csv"
+        write_signal_csv(transform, p)
+        assert traced_peak_mib(lambda: read_signal_csv(p)) < p.stat().st_size / 2 ** 20
+
+    # a chunk buffer and its views, no whole-file copy
+    def test_digest_holds_a_chunk(self, tmp_path, transform):
+        p = tmp_path / "h.csv"
+        write_signal_csv(transform, p)
+        assert traced_peak_mib(lambda: cli._digest(p)) <= 2 * report_io._COPY_CHUNK / 2 ** 20
+
+    # the fine and the coarse resolution's arrays are never live together
+    def test_sobolev_profile_holds_one_resolution(self, transform):
+        gammas = [0, 0.75, 1.5, 2, 2.75, 3, 3.25, 4]  # analyze sobolev's default
+        assert traced_peak_mib(lambda: analysis.smoothness_profile(transform, gammas)) < 12.0
 
 
 def sample_reports(grid):
