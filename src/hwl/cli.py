@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import math
 import re
 import sys
@@ -43,7 +42,7 @@ from .hilbert import PAD_FACTOR, fft_length, hilbert_pv, hilbert_spectral
 from . import analysis
 from .report_io import (
     PanelSpec,
-    _chunks,
+    _sha256,
     read_signal_csv,
     render_figure,
     write_report_json,
@@ -89,6 +88,13 @@ def non_negative(kind, *, strict=False):
         return value
     parse.__name__ = f"{'positive' if strict else 'non-negative'} {kind.__name__}"
     return parse
+
+
+def below_one(text: str) -> float:
+    """:func:`non_negative` below 1: the type of ``--min-r2``, a strict ``>`` on R^2 <= 1."""
+    if (value := non_negative(finite_float)(text)) >= 1:
+        raise argparse.ArgumentTypeError(f"must be < 1, got {text!r}")
+    return value
 
 
 def parse_grid(text: str) -> Grid:
@@ -138,11 +144,8 @@ def parse_wavelet(text: str):
 
 def _digest(path) -> str:
     """The SHA-256 of the file at ``path``, read a chunk at a time."""
-    digest = hashlib.sha256()
     with open(path, "rb", buffering=0) as file:
-        for chunk in _chunks(file):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return _sha256(file).hexdigest()
 
 
 def _read(*paths):
@@ -215,6 +218,8 @@ def analyze_moments(args):
     report = analysis.moments(f, args.max_order, tolerance=args.tolerance)
     checks = {}
     if args.expect_count is not None:
+        if args.expect_count > args.max_order + 1:
+            raise UsageError(f"--expect-count {args.expect_count} exceeds --max-order + 1")
         checks["vanishing_count"] = report.vanishing_count >= args.expect_count
     params = {"max_order": args.max_order, "tolerance": args.tolerance}
     return report, digest, checks, params
@@ -377,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-exponent", type=finite_float, default=None)
     p.add_argument("--exponent-tol", type=non_negative(finite_float), default=0.1)
     p.add_argument("--min-exponent", type=finite_float, default=None)
-    p.add_argument("--min-r2", type=non_negative(finite_float), default=None)
+    p.add_argument("--min-r2", type=below_one, default=None)
     p.add_argument("--json", required=True)
     p.set_defaults(func=cmd_analyze, analyze=analyze_decay)
 

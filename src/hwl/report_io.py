@@ -10,11 +10,11 @@ CSV and the JSON report schema are the package's stable external contracts:
   large file in one process per usable CPU (:func:`write_signal_csv`), with
   no option for it; the bytes are those of a one-shot write, and a range
   whose worker fails is formatted by the writer itself.  The writer also
-  saves the rows it formatted in a binary sidecar ``OUT.rows``, keyed by
-  the SHA-256 of the CSV bytes; a read whose CSV bytes match that digest
-  loads the rows from it instead of parsing, with the same result, since
-  ``%.17g`` text parses back to the same bits.  That check streams the CSV
-  through one reused buffer and holds no copy of it;
+  saves the rows it formatted in a binary sidecar ``OUT.rows``, headed by
+  one SHA-256 of the CSV's bytes and then the rows'; a read loads the rows
+  from it instead of parsing only when that digest matches, with the same
+  result, since ``%.17g`` text parses back to the same bits.  That check
+  streams the CSV through one reused buffer and holds no copy of it;
 * report JSON: one strict-JSON object per report (no ``NaN`` or
   ``Infinity``), serialized with sorted keys so identical inputs give
   identical bytes.  Every report carries the envelope ``kind``,
@@ -70,14 +70,14 @@ _WRITE_BLOCK = 1 << 11
 # usable CPU: forking, exiting and reaping a child cost a few ms, and on two
 # otherwise idle cores two processes wrote 2^14+1 rows in 14 ms, one in 17 ms
 _PROCESS_ROWS = 4 * _WRITE_BLOCK
-# files are read this many bytes at a time into one reused buffer (_chunks):
-# a child's rows as they are copied into the CSV, a CSV as its sidecar is
-# checked, and a file as cli._digest hashes it; no more is held at once
+# files are read this many bytes at a time into one reused buffer: a child's
+# rows as _reap counts them and as they are copied into the CSV, and a file
+# as _sha256 hashes it for the sidecar check or cli._digest; no more is held
 _COPY_CHUNK = 1 << 20
 _ROW_START = re.compile(rb"[^\r\n]")  # the first byte of a row after the header
 _NON_ASCII = re.compile(rb"[\x80-\xff]")
 # the first line of a signal CSV's ``.rows`` sidecar (_write_rows_sidecar)
-_ROWS_MAGIC = b"hwl-rows-1\n"
+_ROWS_MAGIC = b"hwl-rows-2\n"
 
 _REPORT_KINDS = {
     "moment_report": MomentReport,
@@ -170,31 +170,26 @@ def _chunks(file):
         yield buffer[:size]
 
 
-def _newlines(chunks, digest=None) -> int:
-    """The number of line feeds (byte 10) in ``chunks``, each at most
-    :data:`_COPY_CHUNK` bytes, compared by NumPy into one reused flag array;
-    each chunk is also fed to ``digest``, when one is given."""
-    flags = np.empty(_COPY_CHUNK, dtype=bool)
-    count = 0
-    for chunk in chunks:
-        if digest is not None:
-            digest.update(chunk)
-        found = np.equal(np.frombuffer(chunk, dtype=np.uint8), 10, out=flags[:len(chunk)])
-        count += int(np.count_nonzero(found))
-    return count
+def _sha256(file):
+    """The SHA-256 hash object of the binary ``file`` from where it stands,
+    fed through :func:`_chunks`, whose buffer is freed when this returns."""
+    digest = hashlib.sha256()
+    for chunk in _chunks(file):
+        digest.update(chunk)
+    return digest
 
 
 def _reap(workers: dict, start: int, rows: int):
     """Wait for the child that formats the range at ``start`` and forget it:
     its file, rewound, if the child exited 0 and left exactly ``rows``
-    lines, else None."""
-    part, pid = workers[start]
-    exited = _exited_cleanly(pid)
-    del workers[start]
-    if not exited:
+    lines, counted in place in one :data:`_COPY_CHUNK` buffer; else None."""
+    part, pid = workers.pop(start)
+    if not _exited_cleanly(pid):
         return None
     part.seek(0)
-    lines = _newlines(_chunks(part))
+    buffer, lines = bytearray(_COPY_CHUNK), 0
+    while size := part.readinto(buffer):
+        lines += buffer.count(b"\n", 0, size)
     part.seek(0)
     return part if lines == rows else None
 
@@ -229,24 +224,28 @@ def write_signal_csv(f: SampledSignal, path) -> None:
             for block in _row_blocks(x, values, start, stop) if part is None else _chunks(part):
                 digest.update(block)
                 out.write(block)
-    _write_rows_sidecar(path, digest.digest(), x, values)
+    _write_rows_sidecar(path, digest, x, values)
 
 
-def _write_rows_sidecar(path, digest: bytes, x: np.ndarray, values: np.ndarray) -> None:
+def _write_rows_sidecar(path, digest, x: np.ndarray, values: np.ndarray) -> None:
     """Save the rows a signal CSV holds beside it, as ``path.rows``: the
-    magic line, ``digest`` (the SHA-256 of the CSV's bytes) and the
-    ``(count, 2)`` little-endian float64 array of (x, value), written
-    :data:`_WRITE_BLOCK` rows at a time to a temporary file that then
-    replaces the sidecar.  The sidecar only saves later reads a parse, so an
-    ``OSError`` here leaves the CSV as written and no temporary file."""
+    magic line, ``digest`` (fed the CSV's bytes, then each block of
+    :data:`_WRITE_BLOCK` rows of the ``(count, 2)`` little-endian float64
+    payload of (x, value) as it is written, and filled in last) and the
+    payload, in a temporary file that then replaces the sidecar.  The
+    sidecar only saves later reads a parse, so an ``OSError`` here leaves
+    the CSV as written and no temporary file."""
     tmp = Path(f"{path}.rows.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as out:
-            out.write(_ROWS_MAGIC + digest)
+            out.write(_ROWS_MAGIC + bytes(32))
             for i in range(0, values.shape[0], _WRITE_BLOCK):
                 j = i + _WRITE_BLOCK
-                rows = np.column_stack((x[i:j], values[i:j]))
-                out.write(rows.astype("<f8", copy=False).tobytes())
+                rows = np.column_stack((x[i:j], values[i:j])).astype("<f8", copy=False)
+                digest.update(rows)
+                out.write(rows)
+            out.seek(len(_ROWS_MAGIC))
+            out.write(digest.digest())
         os.replace(tmp, f"{path}.rows")
     except OSError:
         with contextlib.suppress(OSError):
@@ -319,47 +318,34 @@ def _parse_signal(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     return _parse_rows_fast(data) or _read_rows(data.decode("ascii"))
 
 
-def _sidecar_rows(path) -> np.ndarray | None:
-    """The ``(count, 2)`` rows of the ``.rows`` sidecar of the signal CSV at
-    ``path``, when the sidecar carries the SHA-256 of the CSV's bytes, one
-    (x, value) pair per data row, all finite; None otherwise.  The CSV is
-    read once, through :func:`_chunks`, and never held whole."""
+def _sidecar_rows(path) -> tuple[np.ndarray, np.ndarray] | None:
+    """Abscissas and values of the ``.rows`` sidecar of the signal CSV at
+    ``path``, when its header is the magic line and the SHA-256 of the CSV's
+    bytes and then the payload's, and the payload holds at least two whole
+    rows (only a forged header matches fewer); None otherwise.  The CSV is
+    streamed through :func:`_sha256`, never held, and the payload read once."""
     try:
-        side = open(f"{path}.rows", "rb")
-    except OSError:  # none, a directory, unreadable
+        with open(f"{path}.rows", "rb") as side, open(path, "rb", buffering=0) as csv:
+            header = side.read(len(_ROWS_MAGIC) + 32)
+            digest = _sha256(csv)
+            payload = np.fromfile(side, dtype=np.uint8)
+    # no sidecar, a directory, a device (fromfile's size is negative), or a
+    # CSV the parse will fail to read in turn
+    except (OSError, ValueError):
         return None
-    with side, open(path, "rb", buffering=0) as csv:
-        header = side.read(len(_ROWS_MAGIC) + 32)
-        payload = os.fstat(side.fileno()).st_size - side.tell()
-        digest = hashlib.sha256()
-        # the writer ends each line with \n: two floats per data row
-        if (16 * (_newlines(_chunks(csv), digest) - 1) != payload
-                or header != _ROWS_MAGIC + digest.digest()):
-            return None
-        count = payload // 8
-        rows = np.fromfile(side, dtype="<f8", count=count)
-    if rows.size == count and np.isfinite(rows).all():
-        return rows.reshape(-1, 2)
-    return None  # a payload edited under its digest
-
-
-def _signal_rows(path) -> tuple[np.ndarray, np.ndarray]:
-    """Abscissas and values of the signal CSV at ``path``: its
-    :func:`_sidecar_rows` when the sidecar matches it, else parsed from its
-    bytes, read whole.  Without a sidecar nothing is hashed."""
-    rows = _sidecar_rows(path)
-    if rows is None:
-        return _parse_signal(Path(path).read_bytes())
-    return rows[:, 0], rows[:, 1]
+    digest.update(payload)
+    if header != _ROWS_MAGIC + digest.digest() or payload.size < 32 or payload.size % 16:
+        return None
+    rows = payload.view("<f8")  # (x, value) pairs
+    return rows[0::2], rows[1::2]
 
 
 def read_signal_csv(path) -> SampledSignal:
-    """Read a signal CSV, from its ``.rows`` sidecar when that matches the
-    CSV's bytes; malformed content raises ParseError with the row."""
-    # the sidecar check streams the CSV, and only a parse inside
-    # _signal_rows holds its bytes, so they are freed before the spacing
-    # check allocates
-    x_arr, vs = _signal_rows(path)
+    """Read a signal CSV, from its ``.rows`` sidecar when that matches
+    (:func:`_sidecar_rows`); malformed content raises ParseError with the row."""
+    # the sidecar check streams the CSV, and only the parse holds its bytes,
+    # so they are freed before the spacing check allocates
+    x_arr, vs = _sidecar_rows(path) or _parse_signal(Path(path).read_bytes())
     # finite abscissas may span past the float range, which the grid
     # refuses, or step past it, which reads as an infinite deviation
     with np.errstate(over="ignore"):

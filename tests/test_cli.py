@@ -441,35 +441,52 @@ class TestAnalyze:
 
     # below 0 each check would be false (or, for --expect-count and the
     # --min-* bounds, true) whatever the result, and so would the strict
-    # --max-* bounds at 0; 0 itself can be met, and for --max-* any positive value
-    @pytest.mark.parametrize("argv", [
-        ["decay", "--in", "SIGNAL", "--window", "6:24", "--expect-exponent", 4,
-         "--exponent-tol", -1],
-        ["tail-limit", "--in", "SIGNAL", "--hilbert", "SIGNAL", "--probe", 8, "--rel-tol", -0.5],
-        ["partition", "--wavelet", "bspline-scaling,1", "--k", 4, "--grid", "-8:8:0.0625",
-         "--max-central", 0],
-        ["bedrosian", "--window", "sinc2", "--omega0", 3, "--grid", "-8:8:0.0625",
-         "--max-residual", 0],
-        ["sobolev", "--in", "SIGNAL", "--expect-order", -1],
-        ["moments", "--in", "SIGNAL", "--max-order", 2, "--expect-count", -1],
-        ["partition", "--wavelet", "bspline-scaling,1", "--k", 4, "--grid", "-8:8:0.0625",
-         "--min-central", -1e-300],
-        ["bedrosian", "--window", "sinc2", "--omega0", 3, "--grid", "-8:8:0.0625",
-         "--min-residual", -1],
-        ["decay", "--in", "SIGNAL", "--window", "6:24", "--min-r2", -0.5],
-    ], ids=lambda argv: argv[-2])
-    def test_expectation_no_result_decides_is_usage_error(self, tmp_path, capsys,
-                                                          small_signal, argv):
-        argv = ["analyze", *[small_signal if a == "SIGNAL" else a for a in argv]]
-        strict = argv[-2] in ("--max-central", "--max-residual")
-        err = assert_refused(capsys, [*argv, "--json", tmp_path / "r.json"], 2)
-        sign = ">" if strict else ">="
-        assert err.endswith(f"argument {argv[-2]}: must be {sign} 0, got '{argv[-1]}'\n"), err
-        assert not (tmp_path / "r.json").exists()
-        accepted = "1e-300" if strict else "0"
-        args = cli._build_parser().parse_args(
-            cli._absorb_dash_values([str(a) for a in argv[:-1]] + [accepted, "--json", "r"]))
-        assert getattr(args, argv[-2][2:].replace("-", "_")) == float(accepted)
+    # --max-* bounds at 0, --min-r2 at 1 (R^2 is at most 1) and an
+    # --expect-count above the max_order + 1 moments counted; the accepted
+    # value beside each runs, and its check is made
+    @pytest.mark.parametrize("argv, accepted, refusal", [
+        pytest.param(["decay", "--in", "TRANSFORM", "--window", "6:14", "--expect-exponent", 4,
+                      "--exponent-tol", -1], 0, "argument --exponent-tol: must be >= 0, got '-1'",
+                     id="--exponent-tol"),
+        pytest.param(["tail-limit", "--in", "SIGNAL", "--hilbert", "SIGNAL", "--probe", 8,
+                      "--rel-tol", -0.5], 0, "argument --rel-tol: must be >= 0, got '-0.5'",
+                     id="--rel-tol"),
+        pytest.param(["partition", "--wavelet", "bspline-scaling,1", "--k", 4,
+                      "--grid", "-8:8:0.0625", "--max-central", 0], 1e-300,
+                     "argument --max-central: must be > 0, got '0'", id="--max-central"),
+        pytest.param(["bedrosian", "--window", "gauss", "--omega0", 3, "--grid", "-8:8:0.0625",
+                      "--max-residual", 0], 1e-300,
+                     "argument --max-residual: must be > 0, got '0'", id="--max-residual"),
+        pytest.param(["sobolev", "--in", "SIGNAL", "--expect-order", -1], 0,
+                     "argument --expect-order: must be >= 0, got '-1'", id="--expect-order"),
+        pytest.param(["moments", "--in", "SIGNAL", "--max-order", 2, "--expect-count", -1], 0,
+                     "argument --expect-count: must be >= 0, got '-1'", id="--expect-count"),
+        pytest.param(["moments", "--in", "SIGNAL", "--max-order", 3, "--expect-count", 5], 4,
+                     "hwl: --expect-count 5 exceeds --max-order + 1", id="--expect-count=5"),
+        pytest.param(["partition", "--wavelet", "bspline-scaling,1", "--k", 4,
+                      "--grid", "-8:8:0.0625", "--min-central", -1e-300], 0,
+                     "argument --min-central: must be >= 0, got '-1e-300'", id="--min-central"),
+        pytest.param(["bedrosian", "--window", "gauss", "--omega0", 3, "--grid", "-8:8:0.0625",
+                      "--min-residual", -1], 0,
+                     "argument --min-residual: must be >= 0, got '-1'", id="--min-residual"),
+        pytest.param(["decay", "--in", "TRANSFORM", "--window", "6:14", "--min-r2", -0.5], 0,
+                     "argument --min-r2: must be >= 0, got '-0.5'", id="--min-r2"),
+        pytest.param(["decay", "--in", "TRANSFORM", "--window", "6:14", "--min-r2", 1], 0.99,
+                     "argument --min-r2: must be < 1, got '1'", id="--min-r2=1"),
+    ])
+    def test_expectation_no_result_decides_is_usage_error(self, tmp_path, capsys, small_signal,
+                                                          argv, accepted, refusal):
+        transform = tmp_path / "hw3.csv"
+        assert run(["hilbert", "--method", "spectral", "--in", small_signal,
+                    "--out", transform]) == 0
+        files = {"SIGNAL": small_signal, "TRANSFORM": transform}
+        argv = ["analyze", *[files.get(a, a) for a in argv]]
+        report = tmp_path / "r.json"
+        err = assert_refused(capsys, [*argv, "--json", report], 2)
+        assert err.endswith(f"{refusal}\n"), err
+        assert not report.exists()
+        assert run([*argv[:-1], accepted, "--json", report]) == 0
+        assert len(json.loads(report.read_text())["checks"]) == 1
 
     def test_signals_on_different_grids_are_data_error(self, tmp_path, capsys):
         narrow, wide = tmp_path / "narrow.csv", tmp_path / "wide.csv"

@@ -73,8 +73,8 @@ def one_shot_bytes(sig: SampledSignal) -> bytes:
 
 def rows_sidecar_bytes(sig: SampledSignal, csv: bytes) -> bytes:
     """The ``.rows`` sidecar of ``sig`` written as the CSV ``csv``."""
-    rows = np.column_stack((sig.x(), sig.values)).astype("<f8")
-    return b"hwl-rows-1\n" + hashlib.sha256(csv).digest() + rows.tobytes()
+    rows = np.column_stack((sig.x(), sig.values)).astype("<f8").tobytes()
+    return b"hwl-rows-2\n" + hashlib.sha256(csv + rows).digest() + rows
 
 
 @contextlib.contextmanager
@@ -414,11 +414,23 @@ class TestRowsSidecar:
         p.write_bytes(data.replace(old, new))
 
     @staticmethod
+    def _edit_rows(side, edit):
+        """Apply ``edit`` in place to a copy of the sidecar's rows and write
+        them back under the header as written."""
+        data = side.read_bytes()
+        head = len(b"hwl-rows-2\n") + 32
+        rows = np.frombuffer(data, "<f8", offset=head).reshape(-1, 2).copy()
+        edit(rows)
+        side.write_bytes(data[:head] + rows.tobytes())
+
+    @staticmethod
     def _sidecar_of_another_file(p, side):
         # a sidecar that matches its own CSV, whose rows have the same shape
         other = p.with_name("other.csv")
         write_signal_csv(SampledSignal(Grid(-1.0, 0.5, 5), [4.0, 3.0, 2.0, 1.0, 0.0]), other)
         os.replace(f"{other}.rows", side)
+
+    SIGNAL = SampledSignal(Grid(-1.0, 0.5, 5), [0.0, 0.1, 0.2, -0.3, 5e-324])
 
     # each leaves a sidecar that does not match its CSV, or none
     DAMAGE = {
@@ -428,12 +440,22 @@ class TestRowsSidecar:
         "extended-1-byte": lambda p, side: side.write_bytes(side.read_bytes() + bytes(1)),
         "extended-1-row": lambda p, side: side.write_bytes(side.read_bytes() + bytes(16)),
         "wrong-magic": lambda p, side: side.write_bytes(
-            b"hwl-rows-2\n" + side.read_bytes()[len(b"hwl-rows-1\n"):]),
+            b"hwl-rows-3\n" + side.read_bytes()[len(b"hwl-rows-2\n"):]),
+        # the layout before the header bound the rows: the CSV's digest alone
+        "hwl-rows-1": lambda p, side: side.write_bytes(
+            b"hwl-rows-1\n" + hashlib.sha256(p.read_bytes()).digest()
+            + side.read_bytes()[len(b"hwl-rows-2\n") + 32:]),
         "directory": lambda p, side: (side.unlink(), side.mkdir()),
+        "device": lambda p, side: (side.unlink(), side.symlink_to("/dev/zero")),
         "another-files-digest": lambda p, side: TestRowsSidecar._sidecar_of_another_file(p, side),
-        # the digest still matches its CSV, but the last value reads NaN
+        # payloads edited under the header as written: the last value reads
+        # NaN, the value 0.1 reads 0.2, or the rows of 0.1 and 0.2 trade places
         "nan-payload": lambda p, side: side.write_bytes(
             side.read_bytes()[:-8] + np.array(np.nan, "<f8").tobytes()),
+        "payload-value-doubled": lambda p, side: TestRowsSidecar._edit_rows(
+            side, lambda rows: np.multiply.at(rows, (1, 1), 2.0)),
+        "payload-rows-swapped": lambda p, side: TestRowsSidecar._edit_rows(
+            side, lambda rows: np.copyto(rows[1:3], rows[[2, 1]])),
         "csv-value-edited": lambda p, side: TestRowsSidecar._edit_csv(
             p, b",0.20000000000000001\n", b",0.20000000000000004\n"),
         "csv-nan": lambda p, side: TestRowsSidecar._edit_csv(
@@ -444,7 +466,7 @@ class TestRowsSidecar:
     def test_a_sidecar_that_does_not_match_falls_back_to_the_parse(self, tmp_path,
                                                                    monkeypatch, damage):
         p = tmp_path / "sig.csv"
-        write_signal_csv(SampledSignal(Grid(-1.0, 0.5, 5), [0.0, 0.1, 0.2, -0.3, 5e-324]), p)
+        write_signal_csv(self.SIGNAL, p)
         damage(p, Path(f"{p}.rows"))
         want = _parsed_outcome(p, tmp_path)
         parses = []
@@ -454,11 +476,49 @@ class TestRowsSidecar:
         assert _outcome(p) == want
         assert parses == [p.read_bytes()]
 
+    @settings(max_examples=150, deadline=None)
+    @given(side=st.one_of(
+        st.binary(max_size=200),
+        st.binary(max_size=200).map(b"hwl-rows-2\n".__add__),
+        st.tuples(st.integers(0, 2 ** 16), st.integers(1, 255))))
+    def test_any_sidecar_bytes_give_the_parse_answer(self, tmp_path_factory, side):
+        # arbitrary bytes, the same after the magic line, or the sidecar as
+        # written with the byte at one offset XORed with a non-zero mask
+        base = tmp_path_factory.getbasetemp()
+        p = base / "fuzzed_sidecar.csv"
+        write_signal_csv(self.SIGNAL, p)
+        if isinstance(side, tuple):
+            (at, mask), side = side, bytearray(Path(f"{p}.rows").read_bytes())
+            side[at % len(side)] ^= mask
+        Path(f"{p}.rows").write_bytes(side)
+        assert _outcome(p) == _parsed_outcome(p, base)
+
+    # a header forged to match is out of scope, but over fewer than two
+    # whole rows it is not loaded, and over any payload no run ends in a
+    # traceback
+    @settings(max_examples=100, deadline=None)
+    @given(payload=st.sampled_from([0, 8, 16, 24, 32, 40, 48]).flatmap(
+        lambda size: st.binary(min_size=size, max_size=size)))
+    def test_a_forged_header_is_loaded_only_over_two_whole_rows(self, tmp_path_factory,
+                                                                 payload):
+        base = tmp_path_factory.getbasetemp()
+        p = base / "forged_sidecar.csv"
+        write_signal_csv(self.SIGNAL, p)
+        forged = hashlib.sha256(p.read_bytes() + payload).digest()
+        Path(f"{p}.rows").write_bytes(b"hwl-rows-2\n" + forged + payload)
+        if len(payload) < 32 or len(payload) % 16:
+            assert _outcome(p) == _parsed_outcome(p, base)
+        assert cli.main(["analyze", "moments", "--in", str(p), "--max-order", "2",
+                         "--json", str(base / "forged.json")]) in (0, 2, 3)
+
 
 class TestStreamedCheck:
     """The sidecar check streams the CSV through one reused buffer of
-    ``_COPY_CHUNK`` bytes, hashing and counting rows across chunk
-    boundaries, and ``cli._digest`` hashes through the same reads."""
+    ``_COPY_CHUNK`` bytes, hashing it across chunk boundaries, and
+    ``cli._digest`` hashes through the same reads.  The check counts no
+    rows: the appended-row case rewrites the header to the SHA-256 of the
+    CSV alone, which no longer matches, since the digest also covers the
+    payload."""
 
     COUNT = 80_000  # rows enough for 4 chunks, the last holding a whole appended row
 
@@ -478,7 +538,7 @@ class TestStreamedCheck:
         assert (len(data) - len(row)) // chunk == (len(data) - 1) // chunk  # the last chunk
         csv.write_bytes(data)
         side = Path(f"{csv}.rows")
-        magic = len(b"hwl-rows-1\n")
+        magic = len(b"hwl-rows-2\n")
         old = side.read_bytes()
         side.write_bytes(old[:magic] + hashlib.sha256(data).digest() + old[magic + 32:])
         want = _parsed_outcome(csv, tmp_path)
@@ -619,8 +679,8 @@ def test_files_do_not_depend_on_the_locale(tmp_path):
 
 
 class TestSignalCsvMemory:
-    """Peak traced allocation of the CSV writer and reader, ``cli._digest``
-    and the Sobolev profile on the 2^18+1-sample spectral transform of the
+    """Peak traced allocation of the CSV writer and reader, the sidecar
+    check, ``cli._digest`` and the Sobolev profile on the 2^18+1-sample spectral transform of the
     cubic wavelet, a file of about 9 MiB; a list of every row or line, one
     str each, would take over 40 MiB."""
 
@@ -654,6 +714,15 @@ class TestSignalCsvMemory:
         p = tmp_path / "h.csv"
         write_signal_csv(transform, p)
         assert traced_peak_mib(lambda: read_signal_csv(p)) < p.stat().st_size / 2 ** 20
+
+    # the payload, read once; the chunk buffer that hashed the CSV is freed first
+    def test_sidecar_check_holds_the_payload(self, tmp_path, transform):
+        p = tmp_path / "h.csv"
+        write_signal_csv(transform, p)
+        payload = 16 * transform.grid.count
+        assert Path(f"{p}.rows").stat().st_size == len(b"hwl-rows-2\n") + 32 + payload
+        cap = (payload + report_io._COPY_CHUNK / 2) / 2 ** 20
+        assert traced_peak_mib(lambda: report_io._sidecar_rows(p)) < cap
 
     # a chunk buffer and its views, no whole-file copy
     def test_digest_holds_a_chunk(self, tmp_path, transform):
