@@ -356,6 +356,14 @@ def _coarsen(f: SampledSignal) -> SampledSignal:
     return SampledSignal(Grid(g.x_min, 2.0 * g.step, len(values)), values)
 
 
+def _order_certified_by(gamma: float) -> int:
+    """The smoothness order a stable ``gamma`` certifies: the largest n with
+    n + 1/2 < gamma, or 0 when there is none (nothing beyond plain
+    square-integrability).  :func:`smoothness_profile` reports it for its
+    largest stable gamma, so no profile reports more than its largest gamma gives."""
+    return max(0, math.ceil(gamma - 0.5) - 1)
+
+
 def smoothness_profile(f: SampledSignal, gamma_grid: Iterable[float]) -> SobolevEstimate:
     """Sobolev norms over a gamma grid with a 2x-coarsening stability probe.
 
@@ -373,16 +381,13 @@ def smoothness_profile(f: SampledSignal, gamma_grid: Iterable[float]) -> Sobolev
     norms_c = _sobolev_norms(_coarsen(f), gammas)  # built only once the fine arrays are freed
     stable = [abs(nf - nc) < 0.10 * nf if nf > 0 else True
               for nf, nc in zip(norms, norms_c)]
-    # the largest certified n; a signal with no stable gamma above 1/2
-    # reports 0 (nothing beyond plain square-integrability)
     best_stable = max((g for g, s in zip(gammas, stable) if s), default=0.0)
-    order = max(0, math.ceil(best_stable - 0.5) - 1)
     return SobolevEstimate(
         gammas=tuple(gammas),
         norms=tuple(norms),
         norms_coarse=tuple(norms_c),
         stable=tuple(stable),
-        smoothness_order=order,
+        smoothness_order=_order_certified_by(best_stable),
     )
 
 

@@ -12,7 +12,8 @@ figure   render one of the three standard figures as SVG
 
 Grids are given as ``min:max:step`` with count = floor((max-min)/step) + 1;
 exit codes: 0 success, 2 usage error (including a non-finite option value,
-a ``--pad`` asking for more than PAD_FACTOR * MAX_GRID_COUNT FFT points, and
+a ``--pad`` asking for more than PAD_FACTOR * MAX_GRID_COUNT FFT points or
+given with ``--method pv``, a grid whose abscissas would not read back, and
 arithmetic that overflows or turns invalid), 3 data error (unreadable or
 inconsistent input files, such as two signals on different grids).  Every
 refusal, argparse's included, is one ``hwl:`` line on stderr.
@@ -169,18 +170,21 @@ def cmd_gen(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    if args.method == "pv" and args.pad is not None:
+        raise UsageError("--pad applies to --method spectral only, not pv")
     (f,), digest = _read(getattr(args, "in"))
     if args.method == "pv":
         out = hilbert_pv(f)
         meta = {"method": "pv"}
     else:
+        pad = PAD_FACTOR if args.pad is None else args.pad
         # a contract, not a memory guard (no N-point buffer); PAD_FACTOR reaches it at the top grid
-        if args.pad * f.grid.count > PAD_FACTOR * MAX_GRID_COUNT:
-            raise UsageError(f"--pad {args.pad} on {f.grid.count} samples asks for more "
+        if pad * f.grid.count > PAD_FACTOR * MAX_GRID_COUNT:
+            raise UsageError(f"--pad {pad} on {f.grid.count} samples asks for more "
                              f"than {PAD_FACTOR * MAX_GRID_COUNT} FFT points (the cap)")
-        out = hilbert_spectral(f, pad_factor=args.pad)
-        meta = {"method": "spectral", "pad_factor": args.pad,
-                "fft_length": fft_length(f.grid.count, args.pad)}
+        out = hilbert_spectral(f, pad_factor=pad)
+        meta = {"method": "spectral", "pad_factor": pad,
+                "fft_length": fft_length(f.grid.count, pad)}
     write_signal_csv(out, args.out)
     write_report_json(("hilbert_run", meta), str(args.out) + ".meta.json", input_digest=digest)
     return 0
@@ -228,6 +232,10 @@ def analyze_moments(args):
 def analyze_sobolev(args):
     (f,), digest = _read(getattr(args, "in"))
     gammas = parse_numbers(args.gammas, ",", "gammas")
+    top = analysis._order_certified_by(max(gammas))
+    if args.expect_order is not None and args.expect_order > top:
+        raise UsageError(f"--expect-order {args.expect_order} exceeds {top}, "
+                         f"the largest order the gammas can certify")
     est = analysis.smoothness_profile(f, gammas)
     checks = {}
     if args.expect_order is not None:
@@ -367,7 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="transform a signal CSV")
     p.add_argument("--method", required=True, choices=("pv", "spectral"))
-    p.add_argument("--pad", type=int, default=PAD_FACTOR, help="spectral zero-padding factor")
+    p.add_argument("--pad", type=int, default=None,
+                   help=f"zero-padding factor, for --method spectral only (default {PAD_FACTOR})")
     p.add_argument("--in", required=True, dest="in")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_hilbert)

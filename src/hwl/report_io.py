@@ -4,17 +4,20 @@ CSV and the JSON report schema are the package's stable external contracts:
 
 * signal CSV: header line ``x,value``, one row per sample, 17-significant-
   digit decimal floats (lossless for binary64), uniform abscissa spacing
-  validated to 1e-9 relative on read.  The file is ASCII: a parse reads
-  its bytes once, refuses any non-ASCII byte, and parses those same bytes
-  on every path, so no result depends on the locale.  The writer formats a
+  validated to 1e-9 relative on read, and by the same check
+  (:func:`_signal_of`) before a write.  The file is ASCII: a parse reads its
+  bytes once, refuses any non-ASCII byte, and parses those same bytes on
+  every path, so no result depends on the locale.  The writer formats a
   large file in one process per usable CPU (:func:`write_signal_csv`), with
   no option for it; the bytes are those of a one-shot write, and a range
   whose worker fails is formatted by the writer itself.  The writer also
-  saves the rows it formatted in a binary sidecar ``OUT.rows``, headed by
-  one SHA-256 of the CSV's bytes and then the rows'; a read loads the rows
-  from it instead of parsing only when that digest matches, with the same
-  result, since ``%.17g`` text parses back to the same bits.  That check
-  streams the CSV through one reused buffer and holds no copy of it;
+  saves the abscissas and then the values it formatted, two float64
+  columns, in a binary sidecar ``OUT.rows`` written in one call, headed by
+  one SHA-256 of the CSV's bytes and then the columns'; a read loads them
+  from a regular file there instead of parsing only when that digest
+  matches, with the same result, since ``%.17g`` text parses back to the
+  same bits.  That check streams the CSV through one reused buffer and
+  holds no copy of it;
 * report JSON: one strict-JSON object per report (no ``NaN`` or
   ``Infinity``), serialized with sorted keys so identical inputs give
   identical bytes.  Every report carries the envelope ``kind``,
@@ -40,6 +43,7 @@ import json
 import math
 import os
 import re
+import stat
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,7 +81,7 @@ _COPY_CHUNK = 1 << 20
 _ROW_START = re.compile(rb"[^\r\n]")  # the first byte of a row after the header
 _NON_ASCII = re.compile(rb"[\x80-\xff]")
 # the first line of a signal CSV's ``.rows`` sidecar (_write_rows_sidecar)
-_ROWS_MAGIC = b"hwl-rows-2\n"
+_ROWS_MAGIC = b"hwl-rows-3\n"
 
 _REPORT_KINDS = {
     "moment_report": MomentReport,
@@ -205,9 +209,14 @@ def write_signal_csv(f: SampledSignal, path) -> None:
     range whose child could not be forked, did not exit 0, or left other
     than one line per row is formatted here instead, so the bytes are those
     of a one-shot write whatever the children do.  Every child is reaped
-    before this returns or raises.
+    before this returns or raises.  A grid whose abscissas no read could
+    take back (:func:`_signal_of`) is refused first, and no file is opened.
     """
     x, values = f.x(), f.values
+    try:
+        _signal_of(x, values)
+    except ParseError as exc:
+        raise InvalidParameterError(f"the grid would not read back: {exc}") from None
     bounds = _row_ranges(values.shape[0])
     digest = hashlib.sha256(_HEADER_LINE)
     workers = {}  # (file, pid) of each range's child, by the range's start, until reaped
@@ -228,28 +237,19 @@ def write_signal_csv(f: SampledSignal, path) -> None:
 
 
 def _write_rows_sidecar(path, digest, x: np.ndarray, values: np.ndarray) -> None:
-    """Save the rows a signal CSV holds beside it, as ``path.rows``: the
-    magic line, ``digest`` (fed the CSV's bytes, then each block of
-    :data:`_WRITE_BLOCK` rows of the ``(count, 2)`` little-endian float64
-    payload of (x, value) as it is written, and filled in last) and the
-    payload, in a temporary file that then replaces the sidecar.  The
-    sidecar only saves later reads a parse, so an ``OSError`` here leaves
-    the CSV as written and no temporary file."""
-    tmp = Path(f"{path}.rows.{os.urandom(8).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as out:
-            out.write(_ROWS_MAGIC + bytes(32))
-            for i in range(0, values.shape[0], _WRITE_BLOCK):
-                j = i + _WRITE_BLOCK
-                rows = np.column_stack((x[i:j], values[i:j])).astype("<f8", copy=False)
-                digest.update(rows)
-                out.write(rows)
-            out.seek(len(_ROWS_MAGIC))
-            out.write(digest.digest())
-        os.replace(tmp, f"{path}.rows")
-    except OSError:
-        with contextlib.suppress(OSError):
-            tmp.unlink(missing_ok=True)
+    """Save the rows a signal CSV holds beside it, as ``path.rows``, in one
+    write to a new file: the magic line, ``digest`` (fed the CSV's bytes,
+    then the payload's) and the payload, the little-endian float64
+    abscissas and then the values.  Any file at that name is replaced, and
+    an ``OSError`` leaves the CSV as written: a partly written sidecar never
+    matches, and the sidecar only saves later reads a parse."""
+    columns = [x.astype("<f8", copy=False), values.astype("<f8", copy=False)]
+    for column in columns:
+        digest.update(column)
+    with contextlib.suppress(OSError):
+        Path(f"{path}.rows").unlink(missing_ok=True)
+        with open(f"{path}.rows", "xb") as out:
+            out.writelines([_ROWS_MAGIC, digest.digest(), *columns])
 
 
 def _parse_rows(body: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -320,43 +320,44 @@ def _parse_signal(data: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 def _sidecar_rows(path) -> tuple[np.ndarray, np.ndarray] | None:
     """Abscissas and values of the ``.rows`` sidecar of the signal CSV at
-    ``path``, when its header is the magic line and the SHA-256 of the CSV's
-    bytes and then the payload's, and the payload holds at least two whole
-    rows (only a forged header matches fewer); None otherwise.  The CSV is
-    streamed through :func:`_sha256`, never held, and the payload read once."""
+    ``path``, when it is a regular file (opened without waiting on a FIFO)
+    whose header is the magic line and the SHA-256 of the CSV's bytes and
+    then the payload's, and the payload holds at least two whole rows (only
+    a forged header matches fewer); None otherwise.  The CSV is streamed
+    through :func:`_sha256`, never held, and the payload read once."""
+    def opener(name, flags):  # a FIFO opens at once, to be refused below
+        return os.open(name, flags | getattr(os, "O_NONBLOCK", 0))
     try:
-        with open(f"{path}.rows", "rb") as side, open(path, "rb", buffering=0) as csv:
+        with (open(f"{path}.rows", "rb", opener=opener) as side,
+              open(path, "rb", buffering=0) as csv):
+            if not stat.S_ISREG(os.fstat(side.fileno()).st_mode):
+                return None
             header = side.read(len(_ROWS_MAGIC) + 32)
             digest = _sha256(csv)
             payload = np.fromfile(side, dtype=np.uint8)
-    # no sidecar, a directory, a device (fromfile's size is negative), or a
-    # CSV the parse will fail to read in turn
-    except (OSError, ValueError):
+    except OSError:  # no sidecar, a directory, or a CSV the parse will fail to read in turn
         return None
     digest.update(payload)
     if header != _ROWS_MAGIC + digest.digest() or payload.size < 32 or payload.size % 16:
         return None
-    rows = payload.view("<f8")  # (x, value) pairs
-    return rows[0::2], rows[1::2]
+    return tuple(np.split(payload.view("<f8"), 2))
 
 
-def read_signal_csv(path) -> SampledSignal:
-    """Read a signal CSV, from its ``.rows`` sidecar when that matches
-    (:func:`_sidecar_rows`); malformed content raises ParseError with the row."""
-    # the sidecar check streams the CSV, and only the parse holds its bytes,
-    # so they are freed before the spacing check allocates
-    x_arr, vs = _sidecar_rows(path) or _parse_signal(Path(path).read_bytes())
+def _signal_of(x: np.ndarray, values) -> SampledSignal:
+    """The signal of a CSV's abscissas ``x`` and ``values``, on the grid of
+    the first abscissa and the mean spacing, which every spacing must match
+    to :data:`GRID_TOLERANCE`; ParseError, naming the row, otherwise."""
     # finite abscissas may span past the float range, which the grid
     # refuses, or step past it, which reads as an infinite deviation
     with np.errstate(over="ignore"):
-        step = (x_arr[-1] - x_arr[0]) / (len(x_arr) - 1)
+        step = (x[-1] - x[0]) / (len(x) - 1)
         if step <= 0:
             raise ParseError("abscissas are not increasing")
         try:
-            grid = Grid(x_arr[0], step, len(x_arr))
+            grid = Grid(x[0], step, len(x))
         except InvalidParameterError as exc:
             raise ParseError(f"abscissa span overflows: {exc}") from None
-        deviation = np.diff(x_arr)
+        deviation = np.diff(x)
         deviation -= step
     np.abs(deviation, out=deviation)
     worst = int(np.argmax(deviation))
@@ -365,7 +366,17 @@ def read_signal_csv(path) -> SampledSignal:
             f"non-uniform grid: spacing deviates by {deviation[worst]:.3e} from {step}",
             row=worst + 3,  # header + 1-based + diff offset
         )
-    return SampledSignal(grid, vs)
+    # the values are copied while `deviation` is held: freeing it first
+    # left the CLI chain's peak RSS 2 MiB higher, set by heap layout
+    return SampledSignal(grid, values)
+
+
+def read_signal_csv(path) -> SampledSignal:
+    """Read a signal CSV, from its ``.rows`` sidecar when that matches
+    (:func:`_sidecar_rows`); malformed content raises ParseError with the row."""
+    # the sidecar check streams the CSV, and only the parse holds its bytes,
+    # so they are freed before the spacing check allocates
+    return _signal_of(*(_sidecar_rows(path) or _parse_signal(Path(path).read_bytes())))
 
 
 def _jsonable(value):

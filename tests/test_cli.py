@@ -63,6 +63,14 @@ class TestGen:
         assert run(["gen", "--wavelet", "spline-wavelet,2.7",
                     "--grid", "-1:1:0.25", "--out", tmp_path / "x.csv"]) == 2
 
+    # one ulp of 1e10 is 1.9e-6, so the abscissas' rounding bends a 0.001
+    # step past GRID_TOLERANCE, and no command could read the file back
+    def test_grid_that_would_not_read_back_is_usage_error(self, tmp_path, capsys):
+        err = assert_refused(capsys, ["gen", "--wavelet", "haar-wavelet", "--grid",
+                                      "1e10:1.00000001e10:0.001", "--out", tmp_path / "big.csv"], 2)
+        assert err.startswith("hwl: the grid would not read back: row 4: non-uniform grid"), err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert run(["gen", "--wavelet", "haar-wavelet",
                     "--grid", "4:-4:0.25", "--out", tmp_path / "x.csv"]) == 2
@@ -179,6 +187,15 @@ class TestHilbert:
                                 "--in", small_signal, "--out", out], 2)
         assert list(tmp_path.iterdir()) == []
 
+    # the PV engine pads nothing, so a --pad would be ignored; the spectral one takes it
+    def test_pad_with_pv_is_usage_error(self, tmp_path, capsys, small_signal):
+        err = assert_refused(capsys, ["hilbert", "--method", "pv", "--pad", 4,
+                                      "--in", small_signal, "--out", tmp_path / "o.csv"], 2)
+        assert err == "hwl: --pad applies to --method spectral only, not pv\n"
+        assert list(tmp_path.iterdir()) == []
+        assert run(["hilbert", "--method", "spectral", "--pad", 4,
+                    "--in", small_signal, "--out", tmp_path / "o.csv"]) == 0
+
     # pad * count above 16 * MAX_GRID_COUNT: before the cap these raised
     # MemoryError and NumPy's "Maximum allowed dimension exceeded"; the engine
     # no longer holds that buffer, and the refusal stays as a contract
@@ -197,11 +214,11 @@ class TestHilbert:
         for fn in (hilbert.fft_length, hilbert.hilbert_spectral):
             assert inspect.signature(fn).parameters["pad_factor"].default is hilbert.PAD_FACTOR
         monkeypatch.setattr(cli, "PAD_FACTOR", 1)
-        args = cli._build_parser.__wrapped__().parse_args(
-            ["hilbert", "--method", "spectral", "--in", "i.csv", "--out", "o.csv"])
-        assert args.pad == 1
         haar = tmp_path / "haar.csv"
         assert run(["gen", "--wavelet", "haar-wavelet", "--grid", "-2:2:0.25", "--out", haar]) == 0
+        assert run(["hilbert", "--method", "spectral", "--in", haar,
+                    "--out", tmp_path / "d.csv"]) == 0
+        assert json.loads((tmp_path / "d.csv.meta.json").read_text())["pad_factor"] == 1
         err = assert_refused(capsys, ["hilbert", "--method", "spectral", "--pad", 2 ** 24,
                                       "--in", haar, "--out", tmp_path / "o.csv"], 2)
         assert f"than {cli.MAX_GRID_COUNT} FFT points (the cap)" in err
@@ -441,8 +458,9 @@ class TestAnalyze:
 
     # below 0 each check would be false (or, for --expect-count and the
     # --min-* bounds, true) whatever the result, and so would the strict
-    # --max-* bounds at 0, --min-r2 at 1 (R^2 is at most 1) and an
-    # --expect-count above the max_order + 1 moments counted; the accepted
+    # --max-* bounds at 0, --min-r2 at 1 (R^2 is at most 1), an
+    # --expect-count above the max_order + 1 moments counted and an
+    # --expect-order above what the largest gamma certifies; the accepted
     # value beside each runs, and its check is made
     @pytest.mark.parametrize("argv, accepted, refusal", [
         pytest.param(["decay", "--in", "TRANSFORM", "--window", "6:14", "--expect-exponent", 4,
@@ -459,6 +477,9 @@ class TestAnalyze:
                      "argument --max-residual: must be > 0, got '0'", id="--max-residual"),
         pytest.param(["sobolev", "--in", "SIGNAL", "--expect-order", -1], 0,
                      "argument --expect-order: must be >= 0, got '-1'", id="--expect-order"),
+        pytest.param(["sobolev", "--in", "SIGNAL", "--expect-order", 4], 3,
+                     "hwl: --expect-order 4 exceeds 3, the largest order the gammas can certify",
+                     id="--expect-order=4"),
         pytest.param(["moments", "--in", "SIGNAL", "--max-order", 2, "--expect-count", -1], 0,
                      "argument --expect-count: must be >= 0, got '-1'", id="--expect-count"),
         pytest.param(["moments", "--in", "SIGNAL", "--max-order", 3, "--expect-count", 5], 4,

@@ -72,9 +72,24 @@ def one_shot_bytes(sig: SampledSignal) -> bytes:
 
 
 def rows_sidecar_bytes(sig: SampledSignal, csv: bytes) -> bytes:
-    """The ``.rows`` sidecar of ``sig`` written as the CSV ``csv``."""
-    rows = np.column_stack((sig.x(), sig.values)).astype("<f8").tobytes()
-    return b"hwl-rows-2\n" + hashlib.sha256(csv + rows).digest() + rows
+    """The ``.rows`` sidecar of ``sig`` written as the CSV ``csv``: the
+    abscissas and then the values, each a little-endian float64 column."""
+    columns = sig.x().astype("<f8").tobytes() + sig.values.astype("<f8").tobytes()
+    return b"hwl-rows-3\n" + hashlib.sha256(csv + columns).digest() + columns
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail the test, rather than hang it, if the block runs ``seconds`` long."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
 
 
 @contextlib.contextmanager
@@ -286,10 +301,10 @@ def _fork_fails():
 
 
 class _FullDisk:
-    """An output file whose every write after the header line fails."""
+    """An output file whose every write past its first ``room`` bytes fails."""
 
-    def __init__(self, out):
-        self.out = out
+    def __init__(self, out, room):
+        self.out, self.room = out, room
 
     def __enter__(self):
         return self
@@ -298,9 +313,13 @@ class _FullDisk:
         self.out.close()
 
     def write(self, data):
-        if data != b"x,value\n":
+        if self.out.tell() + memoryview(data).nbytes > self.room:
             raise OSError(errno.ENOSPC, "No space left on device")
         return self.out.write(data)
+
+    def writelines(self, parts):
+        for part in parts:
+            self.write(part)
 
 
 class TestParallelWriter:
@@ -370,8 +389,8 @@ class TestParallelWriter:
 
     def test_a_failed_write_reaps_every_child(self, tmp_path, monkeypatch, formatted):
         p = tmp_path / "sig.csv"
-        monkeypatch.setattr(report_io, "open", lambda path, mode: _FullDisk(open(path, mode)),
-                            raising=False)
+        monkeypatch.setattr(report_io, "open", lambda path, mode: _FullDisk(
+            open(path, mode), len(b"x,value\n")), raising=False)
         with no_resource_warning(), pytest.raises(OSError, match="No space left"):
             write_signal_csv(one_shot_signal(self.COUNT), p)
         assert_no_child()
@@ -397,15 +416,65 @@ class TestRowsSidecar:
         x_min=st.floats(-1e6, 1e6),
         step=st.floats(1e-6, 1e6),
     )
+    # a grid whose spacing the abscissas' rounding bends, and one it does not
+    @example(values=np.zeros(3), x_min=1e6, step=1e-6)
+    @example(values=np.zeros(3), x_min=-1.0, step=0.5)
     def test_sidecar_gives_the_parse_answer(self, tmp_path_factory, values, x_min, step):
-        # the same grid and value bits, or the same refusal (a grid whose
-        # spacing the abscissas' rounding bends is non-uniform either way)
-        p = tmp_path_factory.getbasetemp() / "sidecar_property.csv"
-        write_signal_csv(SampledSignal(Grid(x_min, step, len(values)), values), p)
+        # the writer refuses exactly the grids whose one-shot bytes the parse
+        # refuses, naming the same row, and writes no file; otherwise the
+        # sidecar gives the parse's grid and value bits
+        base = tmp_path_factory.getbasetemp()
+        sig = SampledSignal(Grid(x_min, step, len(values)), values)
+        one_shot = base / "one_shot.csv"
+        one_shot.write_bytes(one_shot_bytes(sig))
+        parsed = _outcome(one_shot)
+        p = base / "sidecar_property.csv"
+        for name in (p, Path(f"{p}.rows")):
+            name.unlink(missing_ok=True)
+        if parsed[0] is ParseError:
+            with pytest.raises(InvalidParameterError) as err:
+                write_signal_csv(sig, p)
+            assert str(err.value) == f"the grid would not read back: {parsed[2]}"
+            assert not p.exists() and not Path(f"{p}.rows").exists()
+            return
+        write_signal_csv(sig, p)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(report_io, "_parse_signal", lambda data: pytest.fail("parsed"))
-            cached = _outcome(p)
-        assert cached == _outcome(_without_sidecar(p))
+            assert _outcome(p) == parsed
+
+    def test_a_failed_sidecar_write_leaves_the_csv(self, tmp_path, monkeypatch):
+        # the disk fills after the sidecar's header: the CSV stands as
+        # written, the partly written sidecar never matches, and a read parses
+        p = tmp_path / "sig.csv"
+        monkeypatch.setattr(report_io, "open", lambda path, mode: _FullDisk(
+            open(path, mode), len(b"hwl-rows-3\n") + 32) if mode == "xb" else open(path, mode),
+            raising=False)
+        write_signal_csv(self.SIGNAL, p)
+        monkeypatch.undo()
+        assert p.read_bytes() == one_shot_bytes(self.SIGNAL)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["sig.csv", "sig.csv.rows"]
+        assert Path(f"{p}.rows").stat().st_size == len(b"hwl-rows-3\n") + 32
+        want = _parsed_outcome(p, tmp_path)
+        parses = []
+        parse = report_io._parse_signal
+        monkeypatch.setattr(report_io, "_parse_signal", lambda data: parses.append(data)
+                            or parse(data))
+        assert _outcome(p) == want
+        assert parses == [p.read_bytes()]
+
+    def test_a_symlink_at_the_sidecar_is_replaced(self, tmp_path):
+        # the link is replaced by the sidecar, and the file it named is untouched
+        target = tmp_path / "elsewhere" / "target"
+        target.parent.mkdir()
+        target.write_bytes(b"not a sidecar")
+        p = tmp_path / "out" / "sig.csv"
+        p.parent.mkdir()
+        Path(f"{p}.rows").symlink_to(target)
+        write_signal_csv(self.SIGNAL, p)
+        assert not Path(f"{p}.rows").is_symlink()
+        assert Path(f"{p}.rows").read_bytes() == rows_sidecar_bytes(self.SIGNAL, p.read_bytes())
+        assert target.read_bytes() == b"not a sidecar"
+        assert sorted(f.name for f in p.parent.iterdir()) == ["sig.csv", "sig.csv.rows"]
 
     @staticmethod
     def _edit_csv(p, old, new):
@@ -418,10 +487,17 @@ class TestRowsSidecar:
         """Apply ``edit`` in place to a copy of the sidecar's rows and write
         them back under the header as written."""
         data = side.read_bytes()
-        head = len(b"hwl-rows-2\n") + 32
-        rows = np.frombuffer(data, "<f8", offset=head).reshape(-1, 2).copy()
+        head = len(b"hwl-rows-3\n") + 32
+        rows = np.frombuffer(data, "<f8", offset=head).reshape(2, -1).T.copy()
         edit(rows)
-        side.write_bytes(data[:head] + rows.tobytes())
+        side.write_bytes(data[:head] + rows.T.tobytes())
+
+    @staticmethod
+    def _rows_2(p, side):
+        # the layout before the columns: (x, value) rows, under a digest of the CSV and them
+        sig = TestRowsSidecar.SIGNAL
+        rows = np.column_stack((sig.x(), sig.values)).astype("<f8").tobytes()
+        side.write_bytes(b"hwl-rows-2\n" + hashlib.sha256(p.read_bytes() + rows).digest() + rows)
 
     @staticmethod
     def _sidecar_of_another_file(p, side):
@@ -440,13 +516,16 @@ class TestRowsSidecar:
         "extended-1-byte": lambda p, side: side.write_bytes(side.read_bytes() + bytes(1)),
         "extended-1-row": lambda p, side: side.write_bytes(side.read_bytes() + bytes(16)),
         "wrong-magic": lambda p, side: side.write_bytes(
-            b"hwl-rows-3\n" + side.read_bytes()[len(b"hwl-rows-2\n"):]),
+            b"hwl-rows-4\n" + side.read_bytes()[len(b"hwl-rows-3\n"):]),
         # the layout before the header bound the rows: the CSV's digest alone
         "hwl-rows-1": lambda p, side: side.write_bytes(
             b"hwl-rows-1\n" + hashlib.sha256(p.read_bytes()).digest()
-            + side.read_bytes()[len(b"hwl-rows-2\n") + 32:]),
+            + side.read_bytes()[len(b"hwl-rows-3\n") + 32:]),
+        "hwl-rows-2": lambda p, side: TestRowsSidecar._rows_2(p, side),
         "directory": lambda p, side: (side.unlink(), side.mkdir()),
         "device": lambda p, side: (side.unlink(), side.symlink_to("/dev/zero")),
+        # a blocking open would wait here for a writer that never comes
+        "fifo": lambda p, side: (side.unlink(), os.mkfifo(side)),
         "another-files-digest": lambda p, side: TestRowsSidecar._sidecar_of_another_file(p, side),
         # payloads edited under the header as written: the last value reads
         # NaN, the value 0.1 reads 0.2, or the rows of 0.1 and 0.2 trade places
@@ -473,13 +552,16 @@ class TestRowsSidecar:
         parse = report_io._parse_signal
         monkeypatch.setattr(report_io, "_parse_signal", lambda data: parses.append(data)
                             or parse(data))
-        assert _outcome(p) == want
+        fds = len(os.listdir("/dev/fd"))
+        with deadline(10):
+            assert _outcome(p) == want
+        assert len(os.listdir("/dev/fd")) == fds  # the read closed every file it opened
         assert parses == [p.read_bytes()]
 
     @settings(max_examples=150, deadline=None)
     @given(side=st.one_of(
         st.binary(max_size=200),
-        st.binary(max_size=200).map(b"hwl-rows-2\n".__add__),
+        st.binary(max_size=200).map(b"hwl-rows-3\n".__add__),
         st.tuples(st.integers(0, 2 ** 16), st.integers(1, 255))))
     def test_any_sidecar_bytes_give_the_parse_answer(self, tmp_path_factory, side):
         # arbitrary bytes, the same after the magic line, or the sidecar as
@@ -505,7 +587,7 @@ class TestRowsSidecar:
         p = base / "forged_sidecar.csv"
         write_signal_csv(self.SIGNAL, p)
         forged = hashlib.sha256(p.read_bytes() + payload).digest()
-        Path(f"{p}.rows").write_bytes(b"hwl-rows-2\n" + forged + payload)
+        Path(f"{p}.rows").write_bytes(b"hwl-rows-3\n" + forged + payload)
         if len(payload) < 32 or len(payload) % 16:
             assert _outcome(p) == _parsed_outcome(p, base)
         assert cli.main(["analyze", "moments", "--in", str(p), "--max-order", "2",
@@ -538,7 +620,7 @@ class TestStreamedCheck:
         assert (len(data) - len(row)) // chunk == (len(data) - 1) // chunk  # the last chunk
         csv.write_bytes(data)
         side = Path(f"{csv}.rows")
-        magic = len(b"hwl-rows-2\n")
+        magic = len(b"hwl-rows-3\n")
         old = side.read_bytes()
         side.write_bytes(old[:magic] + hashlib.sha256(data).digest() + old[magic + 32:])
         want = _parsed_outcome(csv, tmp_path)
@@ -720,7 +802,7 @@ class TestSignalCsvMemory:
         p = tmp_path / "h.csv"
         write_signal_csv(transform, p)
         payload = 16 * transform.grid.count
-        assert Path(f"{p}.rows").stat().st_size == len(b"hwl-rows-2\n") + 32 + payload
+        assert Path(f"{p}.rows").stat().st_size == len(b"hwl-rows-3\n") + 32 + payload
         cap = (payload + report_io._COPY_CHUNK / 2) / 2 ** 20
         assert traced_peak_mib(lambda: report_io._sidecar_rows(p)) < cap
 
