@@ -152,9 +152,10 @@ def _weighted_signal(f: SampledSignal, power: int) -> SampledSignal:
 
 
 def moments(f: SampledSignal, k_max: int, tolerance: float | None = None) -> MomentReport:
-    """Trapezoid moments of orders 0..k_max with truncation-aware tolerances."""
+    """Trapezoid moments of orders 0..k_max with truncation-aware tolerances;
+    a given ``tolerance`` must be > 0, since ``|m| < 0`` counts no moment."""
     k_max = check_integer(k_max, "k_max", 0)
-    tolerance = None if tolerance is None else check_real(tolerance, "tolerance", 0.0)
+    tolerance = None if tolerance is None else check_real(tolerance, "tolerance", 0.0, strict=True)
     x = f.x()
     edge_x = max(abs(x[0]), abs(x[-1]))
     edge_f = max(abs(f.values[0]), abs(f.values[-1]))

@@ -3,11 +3,13 @@
 Subcommands
 -----------
 gen      write a generator sampled on a grid to CSV
-hilbert  transform a signal CSV by either engine (sidecar JSON records the
-         method and configuration)
+hilbert  transform a signal CSV by either engine (its run record
+         ``OUT.meta.json`` holds the method, configuration and input digest;
+         every other CSV writer removes a record left beside its ``OUT``)
 analyze  decay | moments | sobolev | bedrosian | certificate | tail-limit |
-         partition; always writes a JSON report, with a ``pass`` flag when
-         an expectation was given (CI consumes reports, not exit codes)
+         partition; reads the input CSVs its options name, and always writes
+         a JSON report carrying their digest, with a ``pass`` flag when an
+         expectation was given (CI consumes reports, not exit codes)
 figure   render one of the three standard figures as SVG
 
 Grids are given as ``min:max:step`` with count = floor((max-min)/step) + 1;
@@ -26,6 +28,7 @@ import functools
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -81,7 +84,8 @@ def non_negative(kind, *, strict=False):
     below 0: the type of each expectation option that a negative value makes
     always true or always false.  With ``strict`` it is named ``positive``
     and refuses 0 too: the type of each strict ``<`` bound on a quantity
-    that is never negative, which 0 makes always false."""
+    that is never negative, which 0 makes always false, and of
+    ``--expect-count``, a ``>=`` on a count, which 0 makes always true."""
     def parse(text: str):
         value = kind(text)
         if value < 0 or (strict and value == 0):
@@ -158,6 +162,19 @@ def _read(*paths):
 _write_run_json = write_report_json
 
 
+def _write_signal(signal, out, run=None, digest=""):
+    """Write ``signal`` to the CSV ``out`` and then its run record
+    ``OUT.meta.json``: a hilbert run's ``run`` fields and input ``digest``,
+    or no file for any other writer, so that no record left by an earlier
+    run describes this file."""
+    write_signal_csv(signal, out)
+    record = f"{out}.meta.json"
+    if run is None:
+        Path(record).unlink(missing_ok=True)
+    else:
+        write_report_json(("hilbert_run", run), record, input_digest=digest)
+
+
 # --------------------------------------------------------------------------
 # subcommand handlers
 # --------------------------------------------------------------------------
@@ -165,7 +182,7 @@ _write_run_json = write_report_json
 def cmd_gen(args) -> int:
     spec = parse_wavelet(args.wavelet)
     grid = parse_grid(args.grid)
-    write_signal_csv(wavelets.sample(spec, grid), args.out)
+    _write_signal(wavelets.sample(spec, grid), args.out)
     return 0
 
 
@@ -185,26 +202,29 @@ def cmd_hilbert(args) -> int:
         out = hilbert_spectral(f, pad_factor=pad)
         meta = {"method": "spectral", "pad_factor": pad,
                 "fft_length": fft_length(f.grid.count, pad)}
-    write_signal_csv(out, args.out)
-    write_report_json(("hilbert_run", meta), str(args.out) + ".meta.json", input_digest=digest)
+    _write_signal(out, args.out, meta, digest)
     return 0
 
 
 def cmd_analyze(args) -> int:
-    """Run one analysis and write its report: the analysis's fields, then
-    the run's ``parameters``, the ``checks`` applied and their ``pass``."""
-    report, digest, checks, params = args.analyze(args)
+    """Read the analysis's input CSVs (``args.inputs``, the dests of its
+    input options, in order), run it on their signals and write its report:
+    the analysis's fields, then the run's ``parameters``, the ``checks``
+    applied and their ``pass``; its ``input_digest`` is the inputs'
+    comma-joined SHA-256, "" for an analysis that reads no file."""
+    signals, digest = _read(*(getattr(args, dest) for dest in args.inputs))
+    report, checks, params = args.analyze(args, *signals)
     write_report_json(report, args.json, input_digest=digest, extra={
         "parameters": params, "checks": checks, "pass": all(checks.values()),
     })
     return 0
 
 
-# Each analysis returns (report, input digest, checks, parameters); a check
-# is present only when its expectation was given.
+# Each analysis takes the arguments and the signals of its input options,
+# in order, and returns (report, checks, parameters); a check is present
+# only when its expectation was given.
 
-def analyze_decay(args):
-    (f,), digest = _read(getattr(args, "in"))
+def analyze_decay(args, f):
     lo, hi = parse_numbers(args.window, ":", "window lo:hi", count=2)
     fit = analysis.fit_decay(f, (lo, hi), side=args.side)
     checks = {}
@@ -214,11 +234,10 @@ def analyze_decay(args):
         checks["min_exponent"] = fit.exponent >= args.min_exponent
     if args.min_r2 is not None:
         checks["r_squared"] = fit.r_squared > args.min_r2
-    return fit, digest, checks, {"window": [lo, hi], "side": args.side}
+    return fit, checks, {"window": [lo, hi], "side": args.side}
 
 
-def analyze_moments(args):
-    (f,), digest = _read(getattr(args, "in"))
+def analyze_moments(args, f):
     report = analysis.moments(f, args.max_order, tolerance=args.tolerance)
     checks = {}
     if args.expect_count is not None:
@@ -226,11 +245,10 @@ def analyze_moments(args):
             raise UsageError(f"--expect-count {args.expect_count} exceeds --max-order + 1")
         checks["vanishing_count"] = report.vanishing_count >= args.expect_count
     params = {"max_order": args.max_order, "tolerance": args.tolerance}
-    return report, digest, checks, params
+    return report, checks, params
 
 
-def analyze_sobolev(args):
-    (f,), digest = _read(getattr(args, "in"))
+def analyze_sobolev(args, f):
     gammas = parse_numbers(args.gammas, ",", "gammas")
     top = analysis._order_certified_by(max(gammas))
     if args.expect_order is not None and args.expect_order > top:
@@ -240,7 +258,7 @@ def analyze_sobolev(args):
     checks = {}
     if args.expect_order is not None:
         checks["smoothness_order"] = est.smoothness_order == args.expect_order
-    return est, digest, checks, {"gammas": gammas}
+    return est, checks, {"gammas": gammas}
 
 
 def analyze_bedrosian(args):
@@ -255,26 +273,24 @@ def analyze_bedrosian(args):
         checks["max_residual"] = residual < args.max_residual
     if args.min_residual is not None:
         checks["min_residual"] = residual > args.min_residual
-    return ("bedrosian_residual", {"residual": residual}), "", checks, params
+    return ("bedrosian_residual", {"residual": residual}), checks, params
 
 
-def analyze_certificate(args):
-    (psi, hpsi), digest = _read(args.psi, args.hpsi)
+def analyze_certificate(args, psi, hpsi):
     cert = analysis.theorem_certificate(psi, hpsi, args.order)
     checks = {}
     if args.expect_stable is not None:
         checks["stable"] = cert.stable == (args.expect_stable == "true")
-    return cert, digest, checks, {"order": args.order}
+    return cert, checks, {"order": args.order}
 
 
-def analyze_tail_limit(args):
-    (f, hf), digest = _read(getattr(args, "in"), args.hilbert)
+def analyze_tail_limit(args, f, hf):
     probe, predicted = analysis.tail_limit(f, hf, args.probe)
     checks = {}
     if args.rel_tol is not None:
         checks["relative_agreement"] = abs(probe - predicted) <= args.rel_tol * abs(predicted)
     record = ("tail_limit", {"probe_value": probe, "predicted": predicted})
-    return record, digest, checks, {"probe": args.probe}
+    return record, checks, {"probe": args.probe}
 
 
 def analyze_partition(args):
@@ -294,11 +310,11 @@ def analyze_partition(args):
     if args.min_central is not None:
         checks["min_central_deviation"] = min_abs > args.min_central
     if args.out_csv:
-        write_signal_csv(dev, args.out_csv)
+        _write_signal(dev, args.out_csv)
     record = ("partition_deviation", {"max_abs_central": max_abs, "min_abs_central": min_abs})
     params = {"wavelet": args.wavelet, "k": args.k, "transformed": args.transformed,
               "grid": args.grid, "central_halfwidth": args.central_halfwidth}
-    return record, "", checks, params
+    return record, checks, params
 
 
 # --------------------------------------------------------------------------
@@ -384,34 +400,34 @@ def _build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="run an analysis and write a JSON report")
     asub = pa.add_subparsers(dest="analysis", required=True)
 
-    p = asub.add_parser("decay")
-    p.add_argument("--in", required=True, dest="in")
+    def analysis_parser(name, analyze, *inputs):
+        """``analyze NAME``: its required input files, which ``cmd_analyze``
+        reads in this order, its ``--json`` report and its handler."""
+        p = asub.add_parser(name)
+        dests = [p.add_argument(option, required=True).dest for option in inputs]
+        p.add_argument("--json", required=True)
+        p.set_defaults(func=cmd_analyze, analyze=analyze, inputs=dests)
+        return p
+
+    p = analysis_parser("decay", analyze_decay, "--in")
     p.add_argument("--window", required=True, help="lo:hi in |x|")
     p.add_argument("--side", default="two_sided", choices=("left", "right", "two_sided"))
     p.add_argument("--expect-exponent", type=finite_float, default=None)
     p.add_argument("--exponent-tol", type=non_negative(finite_float), default=0.1)
     p.add_argument("--min-exponent", type=finite_float, default=None)
     p.add_argument("--min-r2", type=below_one, default=None)
-    p.add_argument("--json", required=True)
-    p.set_defaults(func=cmd_analyze, analyze=analyze_decay)
 
-    p = asub.add_parser("moments")
-    p.add_argument("--in", required=True, dest="in")
+    p = analysis_parser("moments", analyze_moments, "--in")
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument("--tolerance", type=finite_float, default=None,
                    help="absolute moment tolerance (default: truncation-aware)")
-    p.add_argument("--expect-count", type=non_negative(int), default=None)
-    p.add_argument("--json", required=True)
-    p.set_defaults(func=cmd_analyze, analyze=analyze_moments)
+    p.add_argument("--expect-count", type=non_negative(int, strict=True), default=None)
 
-    p = asub.add_parser("sobolev")
-    p.add_argument("--in", required=True, dest="in")
+    p = analysis_parser("sobolev", analyze_sobolev, "--in")
     p.add_argument("--gammas", default="0,0.75,1.5,2,2.75,3,3.25,4")
     p.add_argument("--expect-order", type=non_negative(int), default=None)
-    p.add_argument("--json", required=True)
-    p.set_defaults(func=cmd_analyze, analyze=analyze_sobolev)
 
-    p = asub.add_parser("bedrosian")
+    p = analysis_parser("bedrosian", analyze_bedrosian)
     p.add_argument("--window", required=True, choices=("sinc2", "gauss"))
     p.add_argument("--omega0", type=finite_float, required=True)
     p.add_argument("--sigma", type=finite_float, default=None,
@@ -419,26 +435,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True)
     p.add_argument("--max-residual", type=non_negative(finite_float, strict=True), default=None)
     p.add_argument("--min-residual", type=non_negative(finite_float), default=None)
-    p.add_argument("--json", required=True)
-    p.set_defaults(func=cmd_analyze, analyze=analyze_bedrosian)
 
-    p = asub.add_parser("certificate")
-    p.add_argument("--psi", required=True)
-    p.add_argument("--hpsi", required=True)
+    p = analysis_parser("certificate", analyze_certificate, "--psi", "--hpsi")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--expect-stable", choices=("true", "false"), default=None)
-    p.add_argument("--json", required=True)
-    p.set_defaults(func=cmd_analyze, analyze=analyze_certificate)
 
-    p = asub.add_parser("tail-limit")
-    p.add_argument("--in", required=True, dest="in")
-    p.add_argument("--hilbert", required=True)
+    p = analysis_parser("tail-limit", analyze_tail_limit, "--in", "--hilbert")
     p.add_argument("--probe", type=finite_float, required=True)
     p.add_argument("--rel-tol", type=non_negative(finite_float), default=None)
-    p.add_argument("--json", required=True)
-    p.set_defaults(func=cmd_analyze, analyze=analyze_tail_limit)
 
-    p = asub.add_parser("partition")
+    p = analysis_parser("partition", analyze_partition)
     p.add_argument("--wavelet", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--transformed", action="store_true")
@@ -447,8 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-central", type=non_negative(finite_float, strict=True), default=None)
     p.add_argument("--min-central", type=non_negative(finite_float), default=None)
     p.add_argument("--out-csv", default=None)
-    p.add_argument("--json", required=True)
-    p.set_defaults(func=cmd_analyze, analyze=analyze_partition)
 
     p = sub.add_parser("figure", help="render a standard figure as SVG")
     p.add_argument("--id", type=int, required=True, choices=FIGURES)

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: exit codes, files produced, pipelines."""
 
 import argparse
+import hashlib
 import inspect
 import json
 import math
@@ -125,6 +126,26 @@ class TestSidecars:
         assert run([names.get(a, a) for a in argv]) == 0
         assert sorted(f.name for f in tmp_path.iterdir()) == files
         assert read_signal_csv(tmp_path / "o.csv").grid.count > 2
+
+    # a hilbert run's record left beside OUT would describe a different file
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--wavelet", "haar-scaling", "--grid", "-4:4:0.5", "--out", "OUT"],
+        ["analyze", "partition", "--wavelet", "bspline-scaling,1", "--k", 4,
+         "--grid", "-8:8:0.0625", "--out-csv", "OUT", "--json", "JSON"],
+    ], ids=["gen", "partition"])
+    def test_other_writers_remove_a_stale_run_record(self, tmp_path, small_signal, argv):
+        out, record = tmp_path / "x.csv", tmp_path / "x.csv.meta.json"
+        assert run(["hilbert", "--method", "spectral", "--in", small_signal, "--out", out]) == 0
+        assert json.loads(record.read_text())["kind"] == "hilbert_run"
+        names = {"OUT": out, "JSON": tmp_path / "p.json"}
+        assert run([names.get(a, a) for a in argv]) == 0
+        assert not record.exists()
+        # a refused write touches no file, the CSV and its record included
+        assert run(["hilbert", "--method", "pv", "--in", small_signal, "--out", out]) == 0
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        assert run(["gen", "--wavelet", "haar-wavelet", "--grid", "1e10:1.00000001e10:0.001",
+                    "--out", out]) == 2
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
     def test_unwritable_sidecar_still_writes_the_csv(self, tmp_path):
         plain, blocked = tmp_path / "plain.csv", tmp_path / "blocked.csv"
@@ -449,19 +470,23 @@ class TestAnalyze:
         assert err.startswith("hwl: psi is 1.35e-01 at the grid edge, more than 0.0001 of its sup")
         assert not (tmp_path / "r.json").exists()
 
+    # at 0, |m| < 0 would count no moment, not even one that is exactly 0.0
     def test_negative_tolerance_is_usage_error(self, tmp_path, capsys, small_signal):
-        err = assert_refused(capsys, ["analyze", "moments", "--in", small_signal,
-                                      "--max-order", 2, "--tolerance", -1,
-                                      "--json", tmp_path / "m.json"], 2)
-        assert "tolerance" in err
-        assert not (tmp_path / "m.json").exists()
+        for tolerance in (-1, 0):
+            err = assert_refused(capsys, ["analyze", "moments", "--in", small_signal,
+                                          "--max-order", 2, "--tolerance", tolerance,
+                                          "--json", tmp_path / "m.json"], 2)
+            assert "tolerance" in err
+            assert not (tmp_path / "m.json").exists()
+        assert run(["analyze", "moments", "--in", small_signal, "--max-order", 2,
+                    "--tolerance", 1e-12, "--json", tmp_path / "m.json"]) == 0
 
-    # below 0 each check would be false (or, for --expect-count and the
-    # --min-* bounds, true) whatever the result, and so would the strict
-    # --max-* bounds at 0, --min-r2 at 1 (R^2 is at most 1), an
-    # --expect-count above the max_order + 1 moments counted and an
-    # --expect-order above what the largest gamma certifies; the accepted
-    # value beside each runs, and its check is made
+    # below 0 each check would be false (or, for the --min-* bounds, true)
+    # whatever the result, and so would the strict --max-* bounds at 0,
+    # --expect-count at 0 (true: the count is never negative), --min-r2 at 1
+    # (R^2 is at most 1), an --expect-count above the max_order + 1 moments
+    # counted and an --expect-order above what the largest gamma certifies;
+    # the accepted value beside each runs, and its check is made
     @pytest.mark.parametrize("argv, accepted, refusal", [
         pytest.param(["decay", "--in", "TRANSFORM", "--window", "6:14", "--expect-exponent", 4,
                       "--exponent-tol", -1], 0, "argument --exponent-tol: must be >= 0, got '-1'",
@@ -480,8 +505,8 @@ class TestAnalyze:
         pytest.param(["sobolev", "--in", "SIGNAL", "--expect-order", 4], 3,
                      "hwl: --expect-order 4 exceeds 3, the largest order the gammas can certify",
                      id="--expect-order=4"),
-        pytest.param(["moments", "--in", "SIGNAL", "--max-order", 2, "--expect-count", -1], 0,
-                     "argument --expect-count: must be >= 0, got '-1'", id="--expect-count"),
+        pytest.param(["moments", "--in", "SIGNAL", "--max-order", 2, "--expect-count", 0], 1,
+                     "argument --expect-count: must be > 0, got '0'", id="--expect-count"),
         pytest.param(["moments", "--in", "SIGNAL", "--max-order", 3, "--expect-count", 5], 4,
                      "hwl: --expect-count 5 exceeds --max-order + 1", id="--expect-count=5"),
         pytest.param(["partition", "--wavelet", "bspline-scaling,1", "--k", 4,
@@ -508,6 +533,46 @@ class TestAnalyze:
         assert not report.exists()
         assert run([*argv[:-1], accepted, "--json", report]) == 0
         assert len(json.loads(report.read_text())["checks"]) == 1
+
+    # the report's input_digest is the SHA-256 of each input file, joined
+    # by commas in option order; an analysis that reads no file has ""
+    @pytest.mark.parametrize("argv, inputs", [
+        (["decay", "--in", "TRANSFORM", "--window", "6:14"], ["TRANSFORM"]),
+        (["moments", "--in", "SIGNAL", "--max-order", 2], ["SIGNAL"]),
+        (["sobolev", "--in", "SIGNAL"], ["SIGNAL"]),
+        (["certificate", "--psi", "SIGNAL", "--hpsi", "TRANSFORM", "--order", 0],
+         ["SIGNAL", "TRANSFORM"]),
+        (["tail-limit", "--in", "TRANSFORM", "--hilbert", "SIGNAL", "--probe", 8],
+         ["TRANSFORM", "SIGNAL"]),
+        (["bedrosian", "--window", "gauss", "--omega0", 3, "--grid", "-8:8:0.0625"], []),
+        (["partition", "--wavelet", "bspline-scaling,1", "--k", 4, "--grid", "-8:8:0.0625"], []),
+    ], ids=["decay", "moments", "sobolev", "certificate", "tail-limit", "bedrosian",
+            "partition"])
+    def test_input_digest_joins_the_inputs_in_option_order(self, tmp_path, small_signal,
+                                                           small_transform, argv, inputs):
+        files = {"SIGNAL": small_signal, "TRANSFORM": small_transform}
+        report = tmp_path / "r.json"
+        assert run(["analyze", *[files.get(a, a) for a in argv], "--json", report]) == 0
+        want = ",".join(hashlib.sha256(files[name].read_bytes()).hexdigest() for name in inputs)
+        assert json.loads(report.read_text())["input_digest"] == want
+
+    @pytest.mark.parametrize("argv, option", [
+        (["decay", "--in", "SIGNAL", "--window", "6:14"], "--in"),
+        (["moments", "--in", "SIGNAL", "--max-order", 2], "--in"),
+        (["sobolev", "--in", "SIGNAL"], "--in"),
+        (["certificate", "--psi", "SIGNAL", "--hpsi", "SIGNAL", "--order", 0], "--psi"),
+        (["certificate", "--psi", "SIGNAL", "--hpsi", "SIGNAL", "--order", 0], "--hpsi"),
+        (["tail-limit", "--in", "SIGNAL", "--hilbert", "SIGNAL", "--probe", 8], "--in"),
+        (["tail-limit", "--in", "SIGNAL", "--hilbert", "SIGNAL", "--probe", 8], "--hilbert"),
+    ], ids=["decay", "moments", "sobolev", "certificate--psi", "certificate--hpsi",
+            "tail-limit--in", "tail-limit--hilbert"])
+    def test_missing_input_is_usage_error(self, tmp_path, capsys, small_signal, argv, option):
+        i = argv.index(option)
+        argv = [small_signal if a == "SIGNAL" else a for a in argv[:i] + argv[i + 2:]]
+        report = tmp_path / "r.json"
+        err = assert_refused(capsys, ["analyze", *argv, "--json", report], 2)
+        assert err == f"hwl: analyze {argv[0]}: the following arguments are required: {option}\n"
+        assert not report.exists()
 
     def test_signals_on_different_grids_are_data_error(self, tmp_path, capsys):
         narrow, wide = tmp_path / "narrow.csv", tmp_path / "wide.csv"
