@@ -130,10 +130,9 @@ def _weighted_signal(f: SampledSignal, power: int) -> SampledSignal:
 
     Outside that slice f is +-0.0, so the product is a signed zero: the sign
     of x for an odd power, times the sign of f, which ``x * v`` (odd) or
-    ``1.0 * v`` (even) gives without ``pow``.  An f that is nonzero at
-    both ends (nothing to skip) or nowhere, or a power whose |x|^power
-    overflows, takes ``x ** power * v`` on the whole grid, where 0 * inf
-    is NaN (or raises under ``np.errstate``).
+    ``|x| * v`` (even) gives without ``pow``.  A power whose |x|^power
+    overflows takes ``x ** power * v`` on the whole grid, where 0 * inf is
+    NaN (or raises under ``np.errstate``).
     """
     v = f.values
     nonzero = v != 0.0
@@ -142,13 +141,12 @@ def _weighted_signal(f: SampledSignal, power: int) -> SampledSignal:
     # whether |x|^power overflows
     with np.errstate(over="ignore"):
         ends = np.abs(np.array([f.grid.x_min, f.grid.x_max])) ** power
-    if not nonzero[lo] or hi - lo == v.size or not np.isfinite(ends).all():
+    if not np.isfinite(ends).all():
         return SampledSignal(f.grid, f.x() ** power * v)
     x = f.x()
-    inner = x[lo:hi] ** power * v[lo:hi]
-    out = np.multiply(x if power % 2 else 1.0, v, out=x)
-    out[lo:hi] = inner
-    return SampledSignal(f.grid, out)
+    x[lo:hi] **= power  # >= +0.0 for an even power, which abs leaves as it is
+    weight = x if power % 2 else np.abs(x, out=x)
+    return SampledSignal(f.grid, np.multiply(weight, v, out=x))
 
 
 def moments(f: SampledSignal, k_max: int, tolerance: float | None = None) -> MomentReport:
@@ -186,7 +184,7 @@ def _fit_one_side(x: np.ndarray, v: np.ndarray, lo: float, hi: float, noise_floo
     if n_window == 0:
         raise FitWindowError(f"window [{lo}, {hi}] contains no grid points on this side")
     mag = np.abs(v[inside])
-    usable = mag > max(noise_floor, 0.0)
+    usable = mag > noise_floor
     excluded = n_window - int(usable.sum())
     if usable.sum() < 8 or excluded * 2 > n_window:
         raise FitWindowError(

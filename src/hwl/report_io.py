@@ -116,15 +116,14 @@ def _format_pairs(row: str, a: np.ndarray, b: np.ndarray) -> str:
 def _row_ranges(count: int) -> list[int]:
     """Bounds of the contiguous row ranges a signal CSV of ``count`` rows is
     formatted in, one per process: as many as the CPUs this process may run
-    on, but no more than give each :data:`_PROCESS_ROWS` rows, and each
-    starting on a :data:`_WRITE_BLOCK` boundary; ``[0, count]`` for one."""
+    on, but no more than give each :data:`_PROCESS_ROWS` rows; ``[0, count]``
+    for one."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         cpus = 1
     k = max(1, min(cpus, count // _PROCESS_ROWS))
-    blocks = -(-count // _WRITE_BLOCK)
-    return [min(count, blocks * p // k * _WRITE_BLOCK) for p in range(k + 1)]
+    return [count * p // k for p in range(k + 1)]
 
 
 def _row_blocks(x: np.ndarray, values: np.ndarray, start: int, stop: int):

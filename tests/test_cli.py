@@ -5,11 +5,16 @@ import hashlib
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hwl
 from hwl import cli, hilbert
 from hwl.numerics import Grid, SampledSignal
 from hwl.report_io import read_signal_csv, write_signal_csv
@@ -344,6 +349,18 @@ class TestAnalyze:
         assert run([*argv, option, payload[field], "--json", report]) == 0
         payload = json.loads(report.read_text())
         assert list(payload["checks"].values()) == [False] and payload["pass"] is False
+
+    # --min-exponent is a >= bound: it passes at the fitted exponent itself
+    # and fails at the next float above it
+    def test_min_exponent_check(self, tmp_path, haar_pv):
+        report = tmp_path / "r.json"
+        argv = ["analyze", "decay", "--in", haar_pv[1], "--window", "4:64", "--json", report]
+        assert run(argv) == 0
+        exponent = json.loads(report.read_text())["exponent"]
+        for bound, want in [(exponent, True), (math.nextafter(exponent, math.inf), False)]:
+            assert run([*argv, "--min-exponent", bound]) == 0
+            payload = json.loads(report.read_text())
+            assert payload["checks"] == {"min_exponent": want} and payload["pass"] is want
 
     def test_certificate_report(self, tmp_path):
         psi = tmp_path / "w3.csv"
@@ -842,3 +859,25 @@ def test_argv_and_csv_exit_cleanly(small_signal, small_transform, csv, data):
     assert code in (0, 2, 3), argv
     if code == 0 and words[0] == "analyze":
         json.loads(outputs["--json"].read_text(), parse_constant=_refuse_constant)
+
+
+def test_the_entry_point_exits_with_the_code_of_main(tmp_path):
+    """``python -m hwl.cli`` takes its arguments from ``sys.argv`` and exits
+    with the code ``main`` returns: 0, 2 for a bad option, 3 for a file it
+    cannot read."""
+    src = str(Path(hwl.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def hwl_cli(*args):
+        return subprocess.run([sys.executable, "-m", "hwl.cli", *args], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, encoding="utf-8")
+
+    done = hwl_cli("gen", "--wavelet", "haar-wavelet", "--grid", "-8:8:0.0625", "--out", "psi.csv")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["psi.csv", "psi.csv.rows"]
+    done = hwl_cli("gen", "--wavelet", "haar-wavelet", "--grid", "4:-4:0.25", "--out", "o.csv")
+    assert done.returncode == 2
+    assert done.stderr.startswith("hwl: ") and done.stderr.count("\n") == 1, done.stderr
+    done = hwl_cli("hilbert", "--method", "pv", "--in", "missing.csv", "--out", "h.csv")
+    assert done.returncode == 3, done.stderr

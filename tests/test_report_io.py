@@ -355,9 +355,8 @@ class TestParallelWriter:
         assert_no_child()
 
     def test_ranges(self, formatted):
-        # whole blocks each, at least _PROCESS_ROWS rows, the rest in the last
-        block = report_io._WRITE_BLOCK
-        assert report_io._row_ranges(self.COUNT) == [0, 4 * block, 8 * block, self.COUNT]
+        # a third of the rows each, rounded down at each bound
+        assert report_io._row_ranges(self.COUNT) == [0, 8193, 16387, 24581]
 
     def test_no_cpu_affinity_writes_in_one_process(self, tmp_path, monkeypatch):
         # a platform without os.sched_getaffinity formats every row here
@@ -368,7 +367,18 @@ class TestParallelWriter:
 
     def test_children_format_all_but_the_first_range(self, tmp_path, formatted):
         self._write(tmp_path)
-        assert formatted == [(0, 4 * report_io._WRITE_BLOCK)]
+        assert formatted == [(0, 8193)]
+
+    def test_children_reaped_by_the_kernel_fall_back_to_this_process(self, tmp_path,
+                                                                      formatted):
+        # with SIGCHLD ignored the kernel reaps each child as it exits, so
+        # waitpid fails with ECHILD and every range is formatted here
+        handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            self._write(tmp_path)
+        finally:
+            signal.signal(signal.SIGCHLD, handler)
+        assert formatted == [(0, 8193), (8193, 16387), (16387, 24581)]
 
     FAULTS = {
         "fork-fails": _fork_fails,
@@ -384,8 +394,7 @@ class TestParallelWriter:
                                                        formatted, fault):
         monkeypatch.setattr(os, "fork", fault)
         self._write(tmp_path)
-        block = report_io._WRITE_BLOCK
-        assert formatted == [(0, 4 * block), (4 * block, 8 * block), (8 * block, self.COUNT)]
+        assert formatted == [(0, 8193), (8193, 16387), (16387, 24581)]
 
     def test_a_failed_write_reaps_every_child(self, tmp_path, monkeypatch, formatted):
         p = tmp_path / "sig.csv"
